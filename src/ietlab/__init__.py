@@ -10,7 +10,8 @@ from .dimension_group import (CyclicStructure, ErgodicityCertificate,
                               ErgodicityVerdict, PFResult, StateSpaceApprox,
                               collatz_wielandt, cyclic_structure,
                               estimate_state_dim, is_primitive, k_groups,
-                              measure_bounds, perron_frobenius, state_simplex,
+                              measure_bounds, perron_frobenius,
+                              simplex_diameters, state_simplex,
                               strict_ergodicity_verdict)
 from .errors import IETLabError
 from .iet import (IETSpec, KeaneStatus, KeaneVerdict, Orbit, evaluate,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -26,8 +27,28 @@ def _fraction_str(f: Fraction) -> str:
 def _point(text: str):
     """Parse --x values: 'p/q' stays exact, otherwise float."""
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"--x {text}: zero denominator") from None
     return float(text)
+
+
+def _positive(kind):
+    """argparse type: a finite `kind` greater than zero, as the result
+    schema requires of steps, depths, counts and tolerances."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a positive finite number")
+        return value
+    parse.__name__ = f"positive {kind.__name__}"
+    return parse
+
+
+_POS_INT = _positive(int)
+_POS_FLOAT = _positive(float)
 
 
 def _matrix_arg(text: str):
@@ -92,7 +113,7 @@ def _run_stationary(args):
     }}
 
 
-def _verdict_to_dict(v, seq=None):
+def _verdict_to_dict(v):
     out = {"status": v.status, "state_dim_estimate": v.state_dim_estimate,
            "diagnostics": list(v.diagnostics)}
     if v.certificate is not None:
@@ -114,25 +135,16 @@ def _verdict_to_dict(v, seq=None):
                 "upper": _fraction_str(c.pf.upper_cw),
                 "iterations": c.pf.iterations,
             }
-        if seq is not None:
-            cert["diameters"] = [
-                float(dg.state_simplex(seq, k).diameter)
-                for k in range(1, len(seq.matrices) + 1)]
+        cert["diameters"] = [float(d)
+                             for d in dg.simplex_diameters(v.sequence)]
         out["certificate"] = cert
     return out
 
 
 def _run_ergodic(args):
     spec = serialize.load_spec(args.spec)
-    verdict = dg.strict_ergodicity_verdict(
-        spec, args.depth, args.max_block, tol=args.tol)
-    seq = None
-    if verdict.certificate is not None:
-        try:
-            seq = induction.induce(spec, args.depth)
-        except IETLabError:
-            seq = None
-    return _verdict_to_dict(verdict, seq)
+    return _verdict_to_dict(dg.strict_ergodicity_verdict(
+        spec, args.depth, args.max_block, tol=args.tol))
 
 
 def _load_sequence(args):
@@ -230,8 +242,15 @@ def _run_surface(args):
 # argument grammar
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in one line on stderr, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"usage error: {self.prog}: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ietlab",
         description="interval exchange transformations: orbits, induction, "
                     "ergodicity certificates, rotation numbers")
@@ -253,58 +272,58 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="iterate a point")
     common(p)
     p.add_argument("--x", required=True)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=_POS_INT, default=100)
 
     p = sub.add_parser("code", help="symbolic itinerary and block statistics")
     common(p)
     p.add_argument("--x", required=True)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=_POS_INT, default=1000)
     p.add_argument("--stats-n", type=int, default=0,
                    help="also report block stats for N = 1..this")
 
     p = sub.add_parser("induce", help="run renormalization steps")
     common(p)
-    p.add_argument("--steps", type=int, default=40)
+    p.add_argument("--steps", type=_POS_INT, default=40)
 
     p = sub.add_parser("stationary", help="search for a repeating block")
     common(p)
-    p.add_argument("--steps", type=int, default=40)
-    p.add_argument("--max-block", type=int, default=12)
-    p.add_argument("--min-repeats", type=int, default=3)
+    p.add_argument("--steps", type=_POS_INT, default=40)
+    p.add_argument("--max-block", type=_POS_INT, default=12)
+    p.add_argument("--min-repeats", type=_POS_INT, default=3)
 
     p = sub.add_parser("ergodic", help="strict-ergodicity verdict")
     common(p)
-    p.add_argument("--depth", type=int, default=40)
-    p.add_argument("--max-block", type=int, default=12)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--depth", type=_POS_INT, default=40)
+    p.add_argument("--max-block", type=_POS_INT, default=12)
+    p.add_argument("--tol", type=_POS_FLOAT, default=1e-8)
 
     p = sub.add_parser("simplex", help="state-simplex approximation")
     common(p, spec=False)
     p.add_argument("--spec", help="IETSpec JSON file (induced first)")
     p.add_argument("--matrices", help="matrix-sequence JSON file")
-    p.add_argument("--depth", type=int, default=40)
+    p.add_argument("--depth", type=_POS_INT, default=40)
     p.add_argument("--k", type=int)
 
     p = sub.add_parser("pf", help="Perron-Frobenius data of one matrix")
     common(p, spec=False)
     p.add_argument("--matrix", required=True,
                    help='JSON rows, e.g. "[[2,1],[1,1]]"')
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_POS_FLOAT, default=1e-12)
 
     p = sub.add_parser("rotation", help="matrix continued fraction")
     common(p, spec=False)
     p.add_argument("--matrices", required=True,
                    help="2x2 matrix-sequence JSON file")
-    p.add_argument("--depth", type=int, default=40)
+    p.add_argument("--depth", type=_POS_INT, default=40)
     p.add_argument("--surd", action="store_true",
                    help="treat the sequence as periodic and solve exactly")
 
     p = sub.add_parser("measures", help="empirical-measure census")
     common(p)
-    p.add_argument("--starts", type=int, default=16)
-    p.add_argument("--steps", type=int, default=10 ** 5)
-    p.add_argument("--bins", type=int, default=measures.DEFAULT_BINS)
-    p.add_argument("--cluster-tol", type=float,
+    p.add_argument("--starts", type=_POS_INT, default=16)
+    p.add_argument("--steps", type=_POS_INT, default=10 ** 5)
+    p.add_argument("--bins", type=_POS_INT, default=measures.DEFAULT_BINS)
+    p.add_argument("--cluster-tol", type=_POS_FLOAT,
                    default=measures.DEFAULT_CLUSTER_TOL)
 
     p = sub.add_parser("bounds", help="ergodic-measure count bound")
@@ -346,9 +365,8 @@ def _text_payload(doc: dict) -> str:
 def _write(args, payload: str) -> None:
     out = args.out
     if out is None and os.environ.get("IETLAB_OUT_DIR"):
-        ext = "csv" if args.format == "csv" else args.format.replace("json", "json")
         out = os.path.join(os.environ["IETLAB_OUT_DIR"],
-                           f"{args.subcommand}.{ext}")
+                           f"{args.subcommand}.{args.format}")
     if out:
         with open(out, "w") as fh:
             fh.write(payload)

@@ -13,11 +13,10 @@ the Perron eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import intmat
 from .errors import (FlipUnsupported, KeaneViolation, MaxIterExceeded,
@@ -79,21 +78,18 @@ def _strongly_connected(p: IntMatrix) -> bool:
     return len(reach(False)) == n and len(reach(True)) == n
 
 
-def cyclic_structure(p: IntMatrix) -> CyclicStructure:
-    """Period r = gcd of cycle lengths of the digraph of P, with the vertex
-    classes of the cyclic normal form; r = 1 iff P is primitive."""
+def _period_levels(p: IntMatrix) -> tuple[int, list[int]]:
+    """Period of the digraph of P and the BFS levels from vertex 0.
+
+    The period is the gcd over edges u -> v of level[u] + 1 - level[v]."""
     n = len(p)
     if not _strongly_connected(p):
         raise NotIrreducible("digraph of P is not strongly connected")
-    # BFS levels from vertex 0; the period is the gcd of the level defects
-    level = {0: 0}
+    level = [0] + [None] * (n - 1)
     queue = [0]
-    order = []
-    while queue:
-        u = queue.pop(0)
-        order.append(u)
+    for u in queue:
         for v in range(n):
-            if p[u][v] and v not in level:
+            if p[u][v] and level[v] is None:
                 level[v] = level[u] + 1
                 queue.append(v)
     r = 0
@@ -101,8 +97,16 @@ def cyclic_structure(p: IntMatrix) -> CyclicStructure:
         for v in range(n):
             if p[u][v]:
                 r = math.gcd(r, level[u] + 1 - level[v])
-    r = abs(r) or 1
-    classes = tuple(tuple(v + 1 for v in range(n) if level[v] % r == c)
+    return r or 1, level
+
+
+def cyclic_structure(p: IntMatrix) -> CyclicStructure:
+    """Period r = gcd of cycle lengths of the digraph of P, with the vertex
+    classes of the cyclic normal form; r = 1 iff P is primitive."""
+    import numpy as np
+
+    r, level = _period_levels(p)
+    classes = tuple(tuple(v + 1 for v in range(len(p)) if level[v] % r == c)
                     for c in range(r))
     eigs = np.linalg.eigvals(np.array(p, dtype=float))
     lam = float(np.max(np.abs(eigs)))
@@ -112,8 +116,10 @@ def cyclic_structure(p: IntMatrix) -> CyclicStructure:
 
 
 def is_primitive(p: IntMatrix) -> bool:
+    """Irreducible with period 1 (Perron-Frobenius), decided on the digraph
+    of P alone."""
     try:
-        return cyclic_structure(p).period == 1
+        return _period_levels(p)[0] == 1
     except NotIrreducible:
         return False
 
@@ -180,16 +186,24 @@ class StateSpaceApprox:
     numeric_rank: int
 
 
-def _simplex_columns(seq: MatrixSequence, k: int) -> list[tuple]:
+def _running_products(seq: MatrixSequence, k: int):
+    """Yield V_j = M_1^T ... M_j^T for j = 0..k; the columns of V_j span
+    the j-th simplex."""
     n = len(seq.matrices[0]) if seq.matrices else None
     if k > len(seq.matrices):
         raise SequenceTooShort(f"need {k} matrices, have {len(seq.matrices)}")
     if n is None:
         raise SequenceTooShort("empty sequence")
     v = intmat.identity(n)
+    yield v
     for m in seq.matrices[:k]:
         intmat.check_no_zero_line(m)
         v = intmat.mat_mul(v, intmat.transpose(m))
+        yield v
+
+
+def _normalized_columns(v) -> list[tuple]:
+    n = len(v)
     cols = []
     for j in range(n):
         col = tuple(v[i][j] for i in range(n))
@@ -198,6 +212,11 @@ def _simplex_columns(seq: MatrixSequence, k: int) -> list[tuple]:
             raise ZeroLine("zero column in the iterated product")
         cols.append(tuple(Fraction(c, total) for c in col))
     return cols
+
+
+def _simplex_columns(seq: MatrixSequence, k: int) -> list[tuple]:
+    *_, v = _running_products(seq, k)
+    return _normalized_columns(v)
 
 
 def _l1_diameter(cols) -> Fraction:
@@ -210,10 +229,18 @@ def _l1_diameter(cols) -> Fraction:
 
 
 def _affine_rank(cols, tol: float) -> int:
+    import numpy as np
+
     arr = np.array([[float(x) for x in col] for col in cols], dtype=float).T
     centered = arr - arr.mean(axis=1, keepdims=True)
     s = np.linalg.svd(centered, compute_uv=False)
     return int(np.sum(s > tol))
+
+
+def _state_dim(cols, diameter: Fraction, tol: float) -> int:
+    if diameter < tol:
+        return 1
+    return min(_affine_rank(cols, tol) + 1, len(cols))
 
 
 def state_simplex(seq: MatrixSequence, k: int,
@@ -226,16 +253,21 @@ def state_simplex(seq: MatrixSequence, k: int,
     return StateSpaceApprox(k, tuple(cols), diam, min(rank, len(cols)))
 
 
+def simplex_diameters(seq: MatrixSequence) -> list[Fraction]:
+    """Exact diameters of the simplices after the first k matrices, for
+    k = 1..len(seq.matrices), from one pass of running products: entry k-1
+    equals state_simplex(seq, k).diameter."""
+    products = _running_products(seq, len(seq.matrices))
+    return [_l1_diameter(_normalized_columns(v))
+            for v in islice(products, 1, None)]
+
+
 def estimate_state_dim(seq: MatrixSequence, k_max: int,
                        tol: float = 1e-8) -> int:
     """Numeric affine dimension of the column set at depth k_max: the number
     of independent invariant ergodic measures seen by the approximation."""
-    k = min(k_max, len(seq.matrices))
-    cols = _simplex_columns(seq, k)
-    n = len(cols)
-    if _l1_diameter(cols) < tol:
-        return 1
-    return min(_affine_rank(cols, tol) + 1, n)
+    cols = _simplex_columns(seq, min(k_max, len(seq.matrices)))
+    return _state_dim(cols, _l1_diameter(cols), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +287,9 @@ class ErgodicityVerdict:
     certificate: Optional[ErgodicityCertificate]
     state_dim_estimate: Optional[int]
     diagnostics: tuple[str, ...] = ()
+    # the induced sequence the verdict was drawn from; None when induction
+    # failed
+    sequence: Optional[MatrixSequence] = field(default=None, repr=False)
 
 
 def strict_ergodicity_verdict(spec: IETSpec, induction_depth: int = 40,
@@ -280,18 +315,20 @@ def strict_ergodicity_verdict(spec: IETSpec, induction_depth: int = 40,
     except SequenceTooShort:
         pass
 
-    diam = float(state_simplex(seq, len(seq.matrices)).diameter)
+    cols = _simplex_columns(seq, len(seq.matrices))
+    diam = _l1_diameter(cols)
     if witness is not None and is_primitive(witness.block_product):
         pf = perron_frobenius(witness.block_product, pf_tol)
-        cert = ErgodicityCertificate(witness, pf, diam)
-        return ErgodicityVerdict("StrictlyErgodic", cert, 1)
+        cert = ErgodicityCertificate(witness, pf, float(diam))
+        return ErgodicityVerdict("StrictlyErgodic", cert, 1, sequence=seq)
 
-    dim = estimate_state_dim(seq, len(seq.matrices), tol)
-    cert = ErgodicityCertificate(witness, None, diam)
+    dim = _state_dim(cols, diam, tol)
+    cert = ErgodicityCertificate(witness, None, float(diam))
     if dim == 1:
-        return ErgodicityVerdict("LikelyErgodic", cert, dim)
+        return ErgodicityVerdict("LikelyErgodic", cert, dim, sequence=seq)
     return ErgodicityVerdict("Inconclusive", cert, dim,
-                             (f"state dimension estimate {dim} > 1",))
+                             (f"state dimension estimate {dim} > 1",),
+                             sequence=seq)
 
 
 def k_groups(n: int) -> tuple[int, int]:

@@ -204,10 +204,6 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, Quadratic))
 
 
-def to_float(x) -> float:
-    return float(x)
-
-
 def exact_floor(x) -> int:
     """Floor of an int, Fraction or Quadratic, computed exactly."""
     if isinstance(x, Quadratic):

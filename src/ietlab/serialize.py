@@ -46,6 +46,11 @@ def spec_to_dict(spec: IETSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> IETSpec:
+    if not isinstance(data, dict):
+        raise ValueError("a spec must be a JSON object")
+    for key in ("lambda", "pi"):
+        if key not in data:
+            raise ValueError(f"spec has no {key!r} entry")
     lengths = [scalar_from_json(v) for v in data["lambda"]]
     return validate(lengths, data["pi"], data.get("epsilon"),
                     mode=data.get("mode"))

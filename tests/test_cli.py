@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -143,3 +145,51 @@ def test_out_dir_env(golden_path, tmp_path, monkeypatch):
     assert main(["kgroups", "--n", "3"]) == 0
     doc = json.loads((tmp_path / "kgroups.json").read_text())
     assert doc["result"]["k0_rank"] == 3
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--x", "0.1", "--steps", "0"],
+    ["ergodic", "--depth", "-3"],
+    ["measures", "--cluster-tol", "nan"],
+    ["ergodic", "--tol", "inf"],
+], ids=["orbit-steps-0", "ergodic-depth-neg", "measures-cluster-tol-nan",
+        "ergodic-tol-inf"])
+def test_nonpositive_bounded_args_are_usage_errors(argv, golden_path, capsys):
+    # the schema bounds these with exclusiveMinimum: 0
+    assert main(argv[:1] + ["--spec", golden_path] + argv[1:]) == 2
+    assert "positive" in _one_line_error(capsys)
+
+
+def test_spec_without_lambda(tmp_path, capsys):
+    path = tmp_path / "nolambda.json"
+    path.write_text('{"pi": [2, 1]}')
+    assert main(["eval", "--spec", str(path), "--x", "0.1"]) == 2
+    assert "lambda" in _one_line_error(capsys)
+
+
+def test_zero_denominator_point(golden_path, capsys):
+    assert main(["eval", "--spec", golden_path, "--x", "1/0"]) == 2
+    assert "zero denominator" in _one_line_error(capsys)
+
+
+def test_cli_runs_without_numpy(golden_path, tmp_path):
+    code = (
+        "import sys\n"
+        "from ietlab import cli\n"
+        f"out = {str(tmp_path / 'out.json')!r}\n"
+        "assert cli.main(['pf', '--matrix', '[[2,1],[1,1]]', '--out', out]) == 0\n"
+        f"assert cli.main(['ergodic', '--spec', {golden_path!r}, '--depth', "
+        "'40', '--out', out]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

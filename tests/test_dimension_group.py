@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,10 +9,12 @@ from ietlab import errors
 from ietlab.dimension_group import (collatz_wielandt, cyclic_structure,
                                     estimate_state_dim, is_primitive,
                                     k_groups, measure_bounds,
-                                    perron_frobenius, state_simplex,
+                                    perron_frobenius, simplex_diameters,
+                                    state_simplex,
                                     strict_ergodicity_verdict)
 from ietlab.iet import validate
 from ietlab.induction import MatrixSequence, induce
+from ietlab.intmat import mat_mul
 from ietlab.numbers import golden_alpha
 
 FIB2 = ((1, 1), (1, 2))   # golden block product, eigenvalue (3+sqrt(5))/2
@@ -55,6 +58,23 @@ def test_cyclic_structure_rejects_disconnected():
         cyclic_structure(((1, 0), (0, 1)))
 
 
+def _wielandt_primitive(p) -> bool:
+    """Reference: P is primitive iff P^((n-1)^2 + 1) > 0 (Wielandt)."""
+    n = len(p)
+    b = tuple(tuple(int(v > 0) for v in row) for row in p)
+    power = b
+    for _ in range((n - 1) ** 2):
+        power = tuple(tuple(int(v > 0) for v in row)
+                      for row in mat_mul(power, b))
+    return all(v for row in power for v in row)
+
+
+def test_is_primitive_matches_wielandt_on_all_3x3_zero_one():
+    for bits in itertools.product((0, 1), repeat=9):
+        p = (bits[0:3], bits[3:6], bits[6:9])
+        assert is_primitive(p) == _wielandt_primitive(p), p
+
+
 def test_perron_frobenius_golden_block():
     res = perron_frobenius(FIB2)
     lam = (3 + math.sqrt(5)) / 2
@@ -82,6 +102,13 @@ def test_state_simplex_exact_diameter():
     ratio = float(diams[-1] / diams[-2])
     target = (3 - math.sqrt(5)) / (3 + math.sqrt(5))
     assert abs(ratio - target) / target < 0.1
+
+
+def test_simplex_diameters_match_state_simplex():
+    a = golden_alpha()
+    seq = induce(validate((1 - a, a), (2, 1)), 60)
+    assert simplex_diameters(seq) == [state_simplex(seq, k).diameter
+                                      for k in range(1, 61)]
 
 
 def test_state_simplex_columns_are_stochastic():
