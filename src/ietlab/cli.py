@@ -51,6 +51,14 @@ _POS_INT = _positive(int)
 _POS_FLOAT = _positive(float)
 
 
+def _count(text: str) -> int:
+    """argparse type: an int of at least zero."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def _matrix_arg(text: str):
     return serialize.matrix_from_json(json.loads(text))
 
@@ -66,7 +74,7 @@ def _run_eval(args):
         "x": float(x),
         "value": float(iet.evaluate(spec, x)),
         "interval_index": iet.interval_index(spec, x),
-    }
+    }, None
 
 
 def _run_orbit(args):
@@ -90,13 +98,13 @@ def _run_code(args):
         result["block_stats"] = [
             {"N": s.N, "p": s.distinct_blocks, "phi": s.transitivity,
              "theta": s.covering} for s in stats]
-    return result, ray, stats
+    return result, stats
 
 
 def _run_induce(args):
     spec = serialize.load_spec(args.spec)
     seq = induction.induce(spec, args.steps)
-    return serialize.sequence_to_dict(seq)
+    return serialize.sequence_to_dict(seq), None
 
 
 def _run_stationary(args):
@@ -104,13 +112,13 @@ def _run_stationary(args):
     seq = induction.induce(spec, args.steps)
     w = induction.detect_stationarity(seq, args.max_block, args.min_repeats)
     if w is None:
-        return {"witness": None}
+        return {"witness": None}, None
     return {"witness": {
         "start": w.start,
         "block_length": w.block_length,
         "block_product": serialize.matrix_to_json(w.block_product),
         "repetitions_verified": w.repetitions_verified,
-    }}
+    }}, None
 
 
 def _verdict_to_dict(v):
@@ -144,7 +152,7 @@ def _verdict_to_dict(v):
 def _run_ergodic(args):
     spec = serialize.load_spec(args.spec)
     return _verdict_to_dict(dg.strict_ergodicity_verdict(
-        spec, args.depth, args.max_block, tol=args.tol))
+        spec, args.depth, args.max_block, tol=args.tol)), None
 
 
 def _load_sequence(args):
@@ -155,6 +163,8 @@ def _load_sequence(args):
 
 
 def _run_simplex(args):
+    if not (args.spec or args.matrices):
+        raise ValueError("simplex needs --spec or --matrices")
     seq = _load_sequence(args)
     k = args.k if args.k is not None else len(seq.matrices)
     approx = dg.state_simplex(seq, k)
@@ -164,7 +174,7 @@ def _run_simplex(args):
         "diameter": _fraction_str(approx.diameter),
         "diameter_float": float(approx.diameter),
         "numeric_rank": approx.numeric_rank,
-    }
+    }, None
 
 
 def _run_pf(args):
@@ -177,7 +187,7 @@ def _run_pf(args):
         "upper": _fraction_str(res.upper_cw),
         "iterations": res.iterations,
         "residual": res.residual,
-    }
+    }, None
 
 
 def _run_rotation(args):
@@ -200,11 +210,12 @@ def _run_rotation(args):
             "root_sign": surd.root_sign,
             "approx": surd.approx,
         }
-    return result
+    return result, None
 
 
-def _run_measures(args, rng):
+def _run_measures(args):
     spec = serialize.load_spec(args.spec)
+    rng = random.Random(args.seed)
     starts = [rng.random() for _ in range(args.starts)]
     census = measures.estimate_ergodic_count(
         spec, starts, args.steps, args.cluster_tol, args.bins)
@@ -225,17 +236,18 @@ def _run_measures(args, rng):
 
 
 def _run_bounds(args):
-    return {"bound": dg.measure_bounds(args.n, args.flips)}
+    return {"bound": dg.measure_bounds(args.n, args.flips)}, None
 
 
 def _run_kgroups(args):
     k0, k1 = dg.k_groups(args.n)
-    return {"k0_rank": k0, "k1_rank": k1}
+    return {"k0_rank": k0, "k1_rank": k1}, None
 
 
 def _run_surface(args):
-    return {"parameters": [{"genus": g, "boundary_components": m}
-                           for g, m in symbolic.surface_parameters(args.n)]}
+    params = [{"genus": g, "boundary_components": m}
+              for g, m in symbolic.surface_parameters(args.n)]
+    return {"parameters": params}, None
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "ergodicity certificates, rotation numbers")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, spec=True):
+    def common(p, run, spec=True):
+        p.set_defaults(run=run)
         if spec:
             p.add_argument("--spec", required=True, help="IETSpec JSON file")
         p.add_argument("--out", help="output file (default: stdout, or "
@@ -266,52 +279,52 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("eval", help="apply the map to one point")
-    common(p)
+    common(p, _run_eval)
     p.add_argument("--x", required=True)
 
     p = sub.add_parser("orbit", help="iterate a point")
-    common(p)
+    common(p, _run_orbit)
     p.add_argument("--x", required=True)
     p.add_argument("--steps", type=_POS_INT, default=100)
 
     p = sub.add_parser("code", help="symbolic itinerary and block statistics")
-    common(p)
+    common(p, _run_code)
     p.add_argument("--x", required=True)
     p.add_argument("--steps", type=_POS_INT, default=1000)
-    p.add_argument("--stats-n", type=int, default=0,
+    p.add_argument("--stats-n", type=_count, default=0,
                    help="also report block stats for N = 1..this")
 
     p = sub.add_parser("induce", help="run renormalization steps")
-    common(p)
+    common(p, _run_induce)
     p.add_argument("--steps", type=_POS_INT, default=40)
 
     p = sub.add_parser("stationary", help="search for a repeating block")
-    common(p)
+    common(p, _run_stationary)
     p.add_argument("--steps", type=_POS_INT, default=40)
     p.add_argument("--max-block", type=_POS_INT, default=12)
     p.add_argument("--min-repeats", type=_POS_INT, default=3)
 
     p = sub.add_parser("ergodic", help="strict-ergodicity verdict")
-    common(p)
+    common(p, _run_ergodic)
     p.add_argument("--depth", type=_POS_INT, default=40)
     p.add_argument("--max-block", type=_POS_INT, default=12)
     p.add_argument("--tol", type=_POS_FLOAT, default=1e-8)
 
     p = sub.add_parser("simplex", help="state-simplex approximation")
-    common(p, spec=False)
+    common(p, _run_simplex, spec=False)
     p.add_argument("--spec", help="IETSpec JSON file (induced first)")
     p.add_argument("--matrices", help="matrix-sequence JSON file")
     p.add_argument("--depth", type=_POS_INT, default=40)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_POS_INT)
 
     p = sub.add_parser("pf", help="Perron-Frobenius data of one matrix")
-    common(p, spec=False)
+    common(p, _run_pf, spec=False)
     p.add_argument("--matrix", required=True,
                    help='JSON rows, e.g. "[[2,1],[1,1]]"')
     p.add_argument("--tol", type=_POS_FLOAT, default=1e-12)
 
     p = sub.add_parser("rotation", help="matrix continued fraction")
-    common(p, spec=False)
+    common(p, _run_rotation, spec=False)
     p.add_argument("--matrices", required=True,
                    help="2x2 matrix-sequence JSON file")
     p.add_argument("--depth", type=_POS_INT, default=40)
@@ -319,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="treat the sequence as periodic and solve exactly")
 
     p = sub.add_parser("measures", help="empirical-measure census")
-    common(p)
+    common(p, _run_measures)
     p.add_argument("--starts", type=_POS_INT, default=16)
     p.add_argument("--steps", type=_POS_INT, default=10 ** 5)
     p.add_argument("--bins", type=_POS_INT, default=measures.DEFAULT_BINS)
@@ -327,18 +340,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=measures.DEFAULT_CLUSTER_TOL)
 
     p = sub.add_parser("bounds", help="ergodic-measure count bound")
-    common(p, spec=False)
+    common(p, _run_bounds, spec=False)
     p.add_argument("--n", type=int, required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--oriented", dest="flips", action="store_false")
     g.add_argument("--flips", dest="flips", action="store_true")
 
     p = sub.add_parser("kgroups", help="K-group free ranks")
-    common(p, spec=False)
+    common(p, _run_kgroups, spec=False)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("surface", help="compatible surface parameters")
-    common(p, spec=False)
+    common(p, _run_surface, spec=False)
     p.add_argument("--n", type=int, required=True)
 
     return parser
@@ -381,40 +394,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    rng = random.Random(args.seed)
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("out",) and not callable(v)}
 
     try:
-        extra = None
-        if args.subcommand == "eval":
-            result = _run_eval(args)
-        elif args.subcommand == "orbit":
-            result, extra = _run_orbit(args)
-        elif args.subcommand == "code":
-            result, _, extra = _run_code(args)
-        elif args.subcommand == "induce":
-            result = _run_induce(args)
-        elif args.subcommand == "stationary":
-            result = _run_stationary(args)
-        elif args.subcommand == "ergodic":
-            result = _run_ergodic(args)
-        elif args.subcommand == "simplex":
-            if not (args.spec or args.matrices):
-                parser.error("simplex needs --spec or --matrices")
-            result = _run_simplex(args)
-        elif args.subcommand == "pf":
-            result = _run_pf(args)
-        elif args.subcommand == "rotation":
-            result = _run_rotation(args)
-        elif args.subcommand == "measures":
-            result, extra = _run_measures(args, rng)
-        elif args.subcommand == "bounds":
-            result = _run_bounds(args)
-        elif args.subcommand == "kgroups":
-            result = _run_kgroups(args)
-        else:
-            result = _run_surface(args)
+        result, extra = args.run(args)
     except IETLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

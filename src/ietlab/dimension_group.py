@@ -81,7 +81,8 @@ def _strongly_connected(p: IntMatrix) -> bool:
 def _period_levels(p: IntMatrix) -> tuple[int, list[int]]:
     """Period of the digraph of P and the BFS levels from vertex 0.
 
-    The period is the gcd over edges u -> v of level[u] + 1 - level[v]."""
+    The period is the gcd over edges u -> v of level[u] + 1 - level[v].  A
+    digraph with no cycle (the 1x1 zero matrix) has no period and raises."""
     n = len(p)
     if not _strongly_connected(p):
         raise NotIrreducible("digraph of P is not strongly connected")
@@ -97,7 +98,9 @@ def _period_levels(p: IntMatrix) -> tuple[int, list[int]]:
         for v in range(n):
             if p[u][v]:
                 r = math.gcd(r, level[u] + 1 - level[v])
-    return r or 1, level
+    if r == 0:
+        raise NotIrreducible("digraph of P has no cycle")
+    return r, level
 
 
 def cyclic_structure(p: IntMatrix) -> CyclicStructure:

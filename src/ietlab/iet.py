@@ -5,9 +5,22 @@ a permutation of {1..n} and orientation signs.  Domain intervals are the
 half-open v_i = [beta_{i-1}, beta_i); the map sends v_i isometrically onto
 the pi(i)-th target interval, reversing orientation when epsilon_i = -1.
 
-A flipped branch maps x to beta_pi[pi(i)] - (x - beta[i-1]), with the left
-endpoint of v_i remapped to the left endpoint of the target so the image
-of every branch is again half-open and the map is a bijection of [0, 1).
+The map is written once, here.  `validate` compiles a spec into one branch
+row per interval, (sign, shift, left, lo, hi) in the spec's own arithmetic,
+where v_i = [left, ...) goes onto the target [lo, hi):
+
+- an oriented branch sends x to x + shift, with shift = lo - left;
+- a flipped branch sends x to shift - x, with shift = hi + left, and its
+  left endpoint to lo, so the image of every branch is again half-open and
+  the map is a bijection of [0, 1).
+
+Both orbit loops read those rows: the recording loop behind `evaluate`,
+`orbit` and `keane_condition`, and the counting loop `count_visits` behind
+the census.  Float mode rounds each image once, in that one addition or
+subtraction, and then clamps it into [lo, hi): an image that rounded onto
+hi or past it becomes nextafter(hi, 0), one that rounded below lo becomes
+lo.  So every float image lies in its branch's target, and an orbit never
+leaves [0, 1).  Exact arithmetic needs no clamp.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from typing import Optional, Sequence
 
 from .errors import (DomainError, LengthSumError, NonBijectivePermutation,
                      NonPositiveLength)
-from .numbers import Quadratic, is_exact
+from .numbers import is_exact
 
 FLOAT_SUM_TOL = 1e-12
 KEANE_FLOAT_TOL = 1e-10  # collision tolerance, below drift of 1e4 isometry steps
@@ -53,6 +66,8 @@ class IETSpec:
     mode: str                      # "exact" | "float"
     beta: tuple = field(repr=False)
     beta_pi: tuple = field(repr=False)
+    cuts: tuple = field(repr=False)        # beta_1 .. beta_{n-1}
+    branches: tuple = field(repr=False)    # (sign, shift, left, lo, hi) per v_i
 
     @property
     def n(self) -> int:
@@ -117,33 +132,43 @@ def validate(lengths, pi, signs=None, mode: Optional[str] = None) -> IETSpec:
         inv[p - 1] = i
     lengths_pi = tuple(lengths[j - 1] for j in inv)
     beta_pi = _cumulative(lengths_pi, mode)
-    return IETSpec(lengths, pi, signs, mode, beta, beta_pi)
+    return IETSpec(lengths, pi, signs, mode, beta, beta_pi, beta[1:-1],
+                   _branches(beta, beta_pi, pi, signs))
+
+
+def _branches(beta, beta_pi, pi, signs) -> tuple:
+    """The branch table: v_i goes onto [lo, hi) by x + shift, or by
+    shift - x when flipped."""
+    rows = []
+    for i, (j, s) in enumerate(zip(pi, signs)):
+        left, lo, hi = beta[i], beta_pi[j - 1], beta_pi[j]
+        rows.append((s, lo - left if s == 1 else hi + left, left, lo, hi))
+    return tuple(rows)
+
+
+def _scalar(spec: IETSpec, x):
+    """x in the spec's arithmetic; an exact spec reads a float as the
+    Fraction of its binary value."""
+    if spec.mode == "float":
+        return float(x)
+    return Fraction(x) if isinstance(x, float) else x
+
+
+def _start(spec: IETSpec, x):
+    x = _scalar(spec, x)
+    if not (0 <= x < 1):
+        raise DomainError(f"point {x!r} outside [0, 1)")
+    return x
 
 
 def interval_index(spec: IETSpec, x) -> int:
     """1-based index i with x in v_i = [beta_{i-1}, beta_i)."""
-    if not (0 <= x < 1):
-        raise DomainError(f"point {x!r} outside [0, 1)")
-    i = bisect_right(spec.beta, x)
-    return min(i, spec.n)
+    return bisect_right(spec.cuts, _start(spec, x)) + 1
 
 
 def evaluate(spec: IETSpec, x):
     """Apply the transformation to a point of [0, 1)."""
-    if spec.mode == "float":
-        x = float(x)
-    elif isinstance(x, float):
-        x = Fraction(x)
-    i = interval_index(spec, x)
-    j = spec.pi[i - 1]
-    if spec.signs[i - 1] == 1:
-        return x - spec.beta[i - 1] + spec.beta_pi[j - 1]
-    if x == spec.beta[i - 1]:
-        return spec.beta_pi[j - 1]
-    r = spec.beta_pi[j] - (x - spec.beta[i - 1])
-    if spec.mode == "float" and r >= spec.beta_pi[j]:
-        r = math.nextafter(spec.beta_pi[j], 0.0)  # rounding pushed r onto the edge
-    return r
+    return _record(spec, _start(spec, x), 1)[0][1]
 
 
 def inverse(spec: IETSpec) -> IETSpec:
@@ -161,23 +186,74 @@ class Orbit:
     interval_indices: tuple[int, ...]
 
 
+def _record(spec: IETSpec, x, n_steps: int):
+    """The recording loop: x and its next n_steps images, and the 1-based
+    branch of each.  x must already be a point of [0, 1) in the spec's
+    arithmetic."""
+    rows, cuts, clamp = spec.branches, spec.cuts, spec.mode == "float"
+    br, nxt = bisect_right, math.nextafter
+    pts, idx = [x], []
+    for _ in range(n_steps):
+        i = br(cuts, x)
+        idx.append(i + 1)
+        sign, shift, left, lo, hi = rows[i]
+        if sign > 0:
+            x = x + shift
+        elif x == left:
+            x = lo
+        else:
+            x = shift - x
+        if clamp:
+            if x >= hi:
+                x = nxt(hi, 0.0)
+            elif x < lo:
+                x = lo
+        pts.append(x)
+    idx.append(br(cuts, x) + 1)
+    return pts, idx
+
+
 def orbit(spec: IETSpec, x0, n_steps: int) -> Orbit:
     """Forward orbit of length n_steps + 1 with per-step interval indices."""
     if n_steps < 0:
         raise DomainError("orbit length must be nonnegative")
-    if spec.mode == "float":
-        x0 = float(x0)
-    elif isinstance(x0, float):
-        x0 = Fraction(x0)
-    pts = [x0]
-    idx = []
-    x = x0
-    for _ in range(n_steps):
-        idx.append(interval_index(spec, x))
-        x = evaluate(spec, x)
-        pts.append(x)
-    idx.append(interval_index(spec, x))
+    x0 = _start(spec, x0)
+    pts, idx = _record(spec, x0, n_steps)
     return Orbit(x0, tuple(pts), tuple(idx))
+
+
+def count_visits(spec: IETSpec, x0, n_steps: int, edges) -> list[int]:
+    """Visits of x0, T(x0), ..., T^(n_steps-1)(x0) to the bins
+    [edges[k], edges[k+1]); the last bin also takes points at or past its
+    right edge.
+
+    The edges are compared in the spec's arithmetic.  This is the counting
+    twin of the recording loop, kept allocation-free for censuses of
+    millions of steps: each step bisects the edges for the bin and the cuts
+    for the branch.
+    """
+    rows, cuts, clamp = spec.branches, spec.cuts, spec.mode == "float"
+    br, nxt = bisect_right, math.nextafter
+    edges = [_scalar(spec, e) for e in edges]
+    counts = [0] * (len(edges) - 1)
+    last = len(counts) - 1
+    x = _start(spec, x0)
+    for _ in range(n_steps):
+        b = br(edges, x) - 1
+        counts[b if b <= last else last] += 1
+        sign, shift, left, lo, hi = rows[br(cuts, x)]
+        if sign > 0:
+            x = x + shift
+        elif x == left:
+            x = lo
+        else:
+            x = shift - x
+        if clamp:
+            if x >= hi:
+                x = nxt(hi, 0.0)
+            elif x < lo:
+                x = lo
+    return counts
 
 
 class KeaneStatus(Enum):
@@ -204,7 +280,7 @@ def keane_condition(spec: IETSpec, depth: int,
     collides.  Float-mode collisions are reported Inconclusive because
     rounding cannot distinguish a true hit from a near miss.
     """
-    disc = list(spec.beta[1:-1])
+    disc = list(spec.cuts)
     if not disc:
         return KeaneVerdict(KeaneStatus.HOLDS, depth)
     exact = spec.mode == "exact"

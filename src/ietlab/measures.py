@@ -11,14 +11,12 @@ bounds concern minimal transformations.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .dimension_group import measure_bounds
 from .errors import DomainError
-from .iet import IETSpec, evaluate
+from .iet import IETSpec, count_visits
 
 DEFAULT_BINS = 64
 DEFAULT_CLUSTER_TOL = 0.05
@@ -42,53 +40,6 @@ class MeasureCensus:
     non_minimal_flag: bool
 
 
-def _step_tables(spec: IETSpec):
-    """Per-interval affine data for the float hot loop: (sign, offset, left
-    endpoint, target edges)."""
-    rows = []
-    for i in range(spec.n):
-        j = spec.pi[i]
-        left = float(spec.beta[i])
-        if spec.signs[i] == 1:
-            rows.append((1.0, float(spec.beta_pi[j - 1]) - left, left,
-                         float(spec.beta_pi[j - 1]), float(spec.beta_pi[j])))
-        else:
-            rows.append((-1.0, float(spec.beta_pi[j]) + left, left,
-                         float(spec.beta_pi[j - 1]), float(spec.beta_pi[j])))
-    return rows
-
-
-def _orbit_histogram(spec: IETSpec, x0: float, n_steps: int,
-                     edges: Sequence[float]) -> list[int]:
-    """Bin counts of x0, phi(x0), ..., phi^{n_steps-1}(x0).
-
-    Float arithmetic throughout; the loop is kept allocation-free because
-    censuses run millions of steps.
-    """
-    beta = [float(b) for b in spec.beta[1:-1]]
-    rows = _step_tables(spec)
-    counts = [0] * (len(edges) - 1)
-    last_bin = len(counts) - 1
-    x = float(x0)
-    br = bisect_right
-    nxt = math.nextafter
-    for _ in range(n_steps):
-        b = br(edges, x) - 1
-        counts[b if b <= last_bin else last_bin] += 1
-        sign, off, left, tgt_lo, tgt_hi = rows[br(beta, x)]
-        if sign > 0:
-            x = x + off
-        elif x == left:
-            x = tgt_lo      # flipped branch keeps images half-open
-        else:
-            x = off - x
-            if x >= tgt_hi:
-                x = nxt(tgt_hi, 0.0)
-            elif x < tgt_lo:
-                x = tgt_lo      # rounding undershot the target interval
-    return counts
-
-
 def birkhoff_average(spec: IETSpec, x0, target_interval, n_steps: int) -> float:
     """Time average of the indicator of [lo, hi) over the first n_steps
     iterates of x0."""
@@ -97,27 +48,16 @@ def birkhoff_average(spec: IETSpec, x0, target_interval, n_steps: int) -> float:
         raise DomainError(f"target interval [{lo}, {hi}) not inside [0, 1]")
     if n_steps < 1:
         raise DomainError("need at least one iterate")
-    if spec.mode == "float":
-        lo_f, hi_f = float(lo), float(hi)
-        counts = _orbit_histogram(spec, float(x0), n_steps,
-                                  [0.0, lo_f, hi_f, 1.0] if lo > 0
-                                  else [0.0, hi_f, 1.0])
-        hit = counts[1] if lo > 0 else counts[0]
-        return hit / n_steps
-    hits = 0
-    x = x0
-    for _ in range(n_steps):
-        if lo <= x < hi:
-            hits += 1
-        x = evaluate(spec, x)
-    return hits / n_steps
+    return count_visits(spec, x0, n_steps, (0, lo, hi, 1))[1] / n_steps
 
 
-def _bin_edges(spec: IETSpec, bins: int) -> tuple[float, ...]:
-    """Uniform grid refined by the discontinuity points beta_i."""
-    grid = {i / bins for i in range(bins + 1)}
-    grid.update(float(b) for b in spec.beta)
-    return tuple(sorted(grid))
+def _bin_edges(spec: IETSpec, bins: int) -> list:
+    """Uniform grid refined by the discontinuity points beta_i, in the
+    spec's arithmetic (its right endpoint beta_n is 1 or 1.0)."""
+    one = spec.beta[-1]
+    grid = {one * i / bins for i in range(bins + 1)}
+    grid.update(spec.beta)
+    return sorted(grid)
 
 
 def empirical_measure(spec: IETSpec, x0, n_steps: int,
@@ -128,17 +68,10 @@ def empirical_measure(spec: IETSpec, x0, n_steps: int,
     if n_steps < 1:
         raise DomainError("need at least one iterate")
     edges = _bin_edges(spec, bins)
-    if spec.mode == "float":
-        counts = _orbit_histogram(spec, float(x0), n_steps, list(edges))
-    else:
-        counts = [0] * (len(edges) - 1)
-        x = x0
-        for _ in range(n_steps):
-            b = min(bisect_right(edges, float(x)) - 1, len(counts) - 1)
-            counts[b] += 1
-            x = evaluate(spec, x)
+    counts = count_visits(spec, x0, n_steps, edges)
     masses = tuple(c / n_steps for c in counts)
-    return EmpiricalMeasure(edges, masses, float(x0), n_steps)
+    return EmpiricalMeasure(tuple(map(float, edges)), masses, float(x0),
+                            n_steps)
 
 
 def _l1(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:

@@ -146,6 +146,8 @@ class Quadratic:
         return 0  # unreachable for squarefree d > 1, kept for safety
 
     def _cmp(self, other) -> int:
+        if isinstance(other, (int, Fraction)):   # no coercion to Quadratic
+            return Quadratic(self.a - other, self.b, self.d)._sign()
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -138,6 +138,9 @@ def test_exit_codes(golden_path, tmp_path, capsys):
     # domain error: point outside [0, 1)
     assert main(["eval", "--spec", golden_path, "--x", "1.5"]) == 1
     capsys.readouterr()
+    # domain error: the digraph of [[0]] has no cycle, so no period
+    assert main(["pf", "--matrix", "[[0]]"]) == 1
+    assert "strictly positive" in _one_line_error(capsys)
 
 
 def test_out_dir_env(golden_path, tmp_path, monkeypatch):
@@ -153,17 +156,25 @@ def _one_line_error(capsys):
     return err
 
 
-@pytest.mark.parametrize("argv", [
-    ["orbit", "--x", "0.1", "--steps", "0"],
-    ["ergodic", "--depth", "-3"],
-    ["measures", "--cluster-tol", "nan"],
-    ["ergodic", "--tol", "inf"],
+@pytest.mark.parametrize("argv, message", [
+    (["orbit", "--spec", "SPEC", "--x", "0.1", "--steps", "0"], "positive"),
+    (["ergodic", "--spec", "SPEC", "--depth", "-3"], "positive"),
+    (["measures", "--spec", "SPEC", "--cluster-tol", "nan"], "positive"),
+    (["ergodic", "--spec", "SPEC", "--tol", "inf"], "positive"),
+    (["code", "--spec", "SPEC", "--x", "0.1", "--steps", "10",
+      "--stats-n", "-1"], "negative"),
+    (["simplex", "--spec", "SPEC", "--k", "-1"], "positive"),
+    (["simplex"], "simplex needs --spec or --matrices"),
 ], ids=["orbit-steps-0", "ergodic-depth-neg", "measures-cluster-tol-nan",
-        "ergodic-tol-inf"])
-def test_nonpositive_bounded_args_are_usage_errors(argv, golden_path, capsys):
-    # the schema bounds these with exclusiveMinimum: 0
-    assert main(argv[:1] + ["--spec", golden_path] + argv[1:]) == 2
-    assert "positive" in _one_line_error(capsys)
+        "ergodic-tol-inf", "code-stats-n-neg", "simplex-k-neg",
+        "simplex-no-input"])
+def test_nonpositive_bounded_args_are_usage_errors(argv, message, golden_path,
+                                                   capsys):
+    # the schema bounds counts with minimum 0 or exclusiveMinimum 0, and
+    # every bad command line is exit 2 with one line, returned, not raised
+    argv = [golden_path if a == "SPEC" else a for a in argv]
+    assert main(argv) == 2
+    assert message in _one_line_error(capsys)
 
 
 def test_spec_without_lambda(tmp_path, capsys):

@@ -69,10 +69,12 @@ def _wielandt_primitive(p) -> bool:
     return all(v for row in power for v in row)
 
 
-def test_is_primitive_matches_wielandt_on_all_3x3_zero_one():
-    for bits in itertools.product((0, 1), repeat=9):
-        p = (bits[0:3], bits[3:6], bits[6:9])
-        assert is_primitive(p) == _wielandt_primitive(p), p
+def test_is_primitive_matches_wielandt_on_all_zero_one_up_to_3x3():
+    # n = 1 holds [[0]], whose digraph has no cycle and so no period
+    for n in (1, 2, 3):
+        for bits in itertools.product((0, 1), repeat=n * n):
+            p = tuple(bits[i:i + n] for i in range(0, n * n, n))
+            assert is_primitive(p) == _wielandt_primitive(p), p
 
 
 def test_perron_frobenius_golden_block():

@@ -74,6 +74,16 @@ def test_flip_is_bijection_on_grid():
     assert all(0 <= y < 1 for y in images)
 
 
+def test_float_image_is_clamped_into_its_target():
+    # x + (lo - left) rounds onto 1.0 for the last float below beta_1,
+    # whose branch goes onto the last target [lo, 1)
+    spec = validate((0.14721598196292884, 0.3037874470780003,
+                     0.21469342553678422, 0.3343031454222867), (4, 2, 3, 1),
+                    mode="float")
+    pts = orbit(spec, math.nextafter(spec.beta[1], 0.0), 2).points
+    assert pts[1] == math.nextafter(1.0, 0.0)
+
+
 def test_interval_index():
     spec = golden_spec()
     a = golden_alpha()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from ietlab import errors
-from ietlab.iet import evaluate, validate
+from ietlab.iet import evaluate, is_irreducible, orbit, validate
 from ietlab.measures import (birkhoff_average, empirical_measure,
                              estimate_ergodic_count)
-from ietlab.numbers import golden_alpha
+from ietlab.numbers import golden_alpha, quad
 
 
 def golden_float():
@@ -124,3 +125,51 @@ def test_exact_periodic_orbit_uniform_measure():
     # period-2 rational orbit: measure is exactly uniform on the orbit
     m = empirical_measure(half_swap(), Fraction(1, 4), 10, bins=4)
     assert sorted(m.masses, reverse=True)[:2] == [0.5, 0.5]
+
+
+def _random_float_4iet(rng, flips):
+    perms = [p for p in itertools.permutations(range(1, 5))
+             if is_irreducible(p)]
+    raw = [rng.random() + 0.05 for _ in range(4)]
+    lam = [v / sum(raw) for v in raw]
+    signs = [1] * 4
+    if flips:
+        signs = [rng.choice((1, -1)) for _ in range(4)]
+        signs[rng.randrange(4)] = -1
+    return validate(lam, rng.choice(perms), signs, mode="float")
+
+
+@pytest.mark.parametrize("flips", [False, True], ids=["oriented", "flips"])
+def test_census_counts_the_iterates_of_orbit_bit_for_bit(flips):
+    # [0, p) and [0, nextafter(p, 1)) differ by the float p alone, so the
+    # census must land on the orbit's last point exactly to count it
+    rng = random.Random(f"agreement:{flips}")
+    for _ in range(50):
+        spec = _random_float_4iet(rng, flips)
+        x0 = rng.random()
+        pts = orbit(spec, x0, 2000).points
+        p, n = pts[-1], len(pts)
+        below = sum(q < p for q in pts)
+        upto = sum(q <= p for q in pts)
+        assert birkhoff_average(spec, x0, (0.0, p), n) * n == below
+        assert (birkhoff_average(spec, x0, (0.0, math.nextafter(p, 1)), n)
+                * n == upto), spec
+
+
+def test_exact_golden_orbit_and_measure_values():
+    a = golden_alpha()
+    spec = validate((1 - a, a), (2, 1))
+    orb = orbit(spec, Fraction(1, 10), 12)
+    # x_k = 1/10 + k*alpha - m_k with alpha = (sqrt(5) - 1)/2
+    m = (0, 0, 1, 1, 2, 3, 3, 4, 5, 5, 6, 6, 7)   # floor(1/10 + k*alpha)
+    assert orb.points == tuple(
+        quad(Fraction(1, 10) - Fraction(k, 2) - m[k], Fraction(k, 2), 5)
+        for k in range(13))
+    assert orb.interval_indices == (1, 2, 1, 2, 2, 1, 2, 2, 1, 2, 1, 2, 2)
+    em = empirical_measure(spec, Fraction(1, 10), 500, bins=8)
+    assert em.bin_edges == (0.0, 0.125, 0.25, 0.375, 0.3819660112501051,
+                            0.5, 0.625, 0.75, 0.875, 1.0)
+    assert em.masses == tuple(c / 500 for c in
+                              (62, 63, 63, 3, 59, 63, 62, 62, 63))
+    assert birkhoff_average(spec, Fraction(1, 10),
+                            (Fraction(1, 5), 1 - a), 500) == 0.182
