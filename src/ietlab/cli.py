@@ -111,14 +111,26 @@ def _run_stationary(args):
     spec = serialize.load_spec(args.spec)
     seq = induction.induce(spec, args.steps)
     w = induction.detect_stationarity(seq, args.max_block, args.min_repeats)
-    if w is None:
-        return {"witness": None}, None
-    return {"witness": {
+    return {"witness": None if w is None else _witness_to_dict(w)}, None
+
+
+def _witness_to_dict(w):
+    return {
         "start": w.start,
         "block_length": w.block_length,
         "block_product": serialize.matrix_to_json(w.block_product),
         "repetitions_verified": w.repetitions_verified,
-    }}, None
+    }
+
+
+def _pf_to_dict(res):
+    return {
+        "eigenvalue": res.eigenvalue,
+        "eigenvector": list(res.eigenvector),
+        "lower": _fraction_str(res.lower_cw),
+        "upper": _fraction_str(res.upper_cw),
+        "iterations": res.iterations,
+    }
 
 
 def _verdict_to_dict(v):
@@ -128,21 +140,9 @@ def _verdict_to_dict(v):
         c = v.certificate
         cert = {"final_diameter": c.final_diameter}
         if c.witness is not None:
-            cert["witness"] = {
-                "start": c.witness.start,
-                "block_length": c.witness.block_length,
-                "block_product": serialize.matrix_to_json(
-                    c.witness.block_product),
-                "repetitions_verified": c.witness.repetitions_verified,
-            }
+            cert["witness"] = _witness_to_dict(c.witness)
         if c.pf is not None:
-            cert["pf"] = {
-                "eigenvalue": c.pf.eigenvalue,
-                "eigenvector": list(c.pf.eigenvector),
-                "lower": _fraction_str(c.pf.lower_cw),
-                "upper": _fraction_str(c.pf.upper_cw),
-                "iterations": c.pf.iterations,
-            }
+            cert["pf"] = _pf_to_dict(c.pf)
         cert["diameters"] = [float(d)
                              for d in dg.simplex_diameters(v.sequence)]
         out["certificate"] = cert
@@ -180,14 +180,7 @@ def _run_simplex(args):
 def _run_pf(args):
     m = _matrix_arg(args.matrix)
     res = dg.perron_frobenius(m, args.tol)
-    return {
-        "eigenvalue": res.eigenvalue,
-        "eigenvector": list(res.eigenvector),
-        "lower": _fraction_str(res.lower_cw),
-        "upper": _fraction_str(res.upper_cw),
-        "iterations": res.iterations,
-        "residual": res.residual,
-    }, None
+    return {**_pf_to_dict(res), "residual": res.residual}, None
 
 
 def _run_rotation(args):

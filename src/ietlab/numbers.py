@@ -4,12 +4,14 @@ Exact mode stores lengths and orbit points either as `fractions.Fraction`
 or as `Quadratic` values a + b*sqrt(d) with rational a, b and a fixed
 squarefree d > 1.  Both are immutable, hashable and totally ordered, so
 they can be mixed freely with each other and with ints in comparisons,
-`bisect` calls and dictionary keys.
+`bisect` calls and dictionary keys.  A finite float compares with a
+`Quadratic` as the rational it is.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Union
 
@@ -39,6 +41,14 @@ def quad(a, b, d: int):
     if d0 == 1:
         return a + b * s
     return Quadratic(a, b * s, d0)
+
+
+def _by_sign(op):
+    """Rich comparison that applies `op` to the sign from `Quadratic._cmp`."""
+    def compare(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else op(c, 0)
+    return compare
 
 
 class Quadratic:
@@ -146,6 +156,12 @@ class Quadratic:
         return 0  # unreachable for squarefree d > 1, kept for safety
 
     def _cmp(self, other) -> int:
+        """Exact sign of self - other; NotImplemented for other types, NaN
+        and the infinities."""
+        if isinstance(other, float):
+            if not math.isfinite(other):
+                return NotImplemented
+            other = Fraction(other)
         if isinstance(other, (int, Fraction)):   # no coercion to Quadratic
             return Quadratic(self.a - other, self.b, self.d)._sign()
         o = self._coerce(other)
@@ -154,32 +170,12 @@ class Quadratic:
         diff = Quadratic(self.a - o.a, self.b - o.b, self.d)
         return diff._sign()
 
-    def __eq__(self, other):
-        if isinstance(other, float):
-            return float(self) == other
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c == 0
-
-    def __lt__(self, other):
-        if isinstance(other, float):
-            return float(self) < other
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self.__lt__(other)
-        e = self.__eq__(other)
-        if c is NotImplemented or e is NotImplemented:
-            return NotImplemented
-        return c or e
-
-    def __gt__(self, other):
-        c = self.__le__(other)
-        return NotImplemented if c is NotImplemented else not c
-
-    def __ge__(self, other):
-        c = self.__lt__(other)
-        return NotImplemented if c is NotImplemented else not c
+    __eq__ = _by_sign(operator.eq)
+    __ne__ = _by_sign(operator.ne)
+    __lt__ = _by_sign(operator.lt)
+    __le__ = _by_sign(operator.le)
+    __gt__ = _by_sign(operator.gt)
+    __ge__ = _by_sign(operator.ge)
 
     def __hash__(self):
         return hash((self.a, self.b, self.d))

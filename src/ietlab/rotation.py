@@ -63,29 +63,6 @@ class QuadraticSurd:
         return quad(Fraction(-b, 2 * a), Fraction(self.root_sign, 2 * a), disc)
 
 
-_INF = object()   # sentinel: truncation undefined (division by a zero tail)
-
-
-def _truncation(mats: Sequence[MoebiusMatrix], depth: int):
-    """Evaluate the fraction cut after `depth` matrices, innermost tail
-    d_k/c_k.  Tails are kept projectively as (num, den) so a zero tail
-    passes through as infinity instead of raising."""
-    g = mats[depth - 1]
-    num, den = Fraction(g.d, g.c), Fraction(1)
-    for j in range(depth - 2, -1, -1):
-        gj, gn = mats[j], mats[j + 1]
-        # tail_j = A + B / tail_{j+1} with A = d_j/c_j + a_n/c_n, B = -c_n^-2
-        a = Fraction(gj.d, gj.c) + Fraction(gn.a, gn.c)
-        b = Fraction(-1, gn.c * gn.c)
-        num, den = a * num + b * den, num
-    g1 = mats[0]
-    if num == 0:
-        return _INF  # the outermost division blows up
-    if den == 0:
-        return Fraction(g1.a, g1.c)   # infinite tail, correction term vanishes
-    return Fraction(g1.a, g1.c) - Fraction(1, g1.c * g1.c) * den / num
-
-
 def rotation_number(seq: Sequence[MoebiusMatrix], depth: int = 40,
                     tol: float = 1e-10) -> RotationNumber:
     """Truncations of the matrix continued fraction at increasing depth.
@@ -102,13 +79,22 @@ def rotation_number(seq: Sequence[MoebiusMatrix], depth: int = 40,
     if depth < 1:
         raise ValueError("depth must be >= 1")
     extended = [mats[i % len(mats)] for i in range(depth)]
+    g1 = extended[0]
+    # the outermost term y -> a_1/c_1 - c_1^{-2}/y, composed with one tail
+    # step per depth; each truncation is this map at the innermost tail
+    # d_k/c_k, taken projectively so a zero tail passes through as infinity
+    outer = ((Fraction(g1.a, g1.c), Fraction(-1, g1.c * g1.c)),
+             (Fraction(1), Fraction(0)))
     convergents = []
     converged = False
-    for k in range(1, depth + 1):
-        t = _truncation(extended, k)
-        if t is _INF:
-            continue
-        convergents.append(t)
+    for k, g in enumerate(extended):
+        if k:
+            outer = _moebius_compose(outer, _tail_step_map(extended[k - 1], g))
+        (p, q), (r, s) = outer
+        den = r * g.d + s * g.c
+        if den == 0:
+            continue   # the truncation divides by a zero tail
+        convergents.append((p * g.d + q * g.c) / den)
         if len(convergents) >= 2 and abs(convergents[-1] - convergents[-2]) <= tol:
             converged = True
             break

@@ -61,90 +61,75 @@ def is_admissible(block: Sequence[int], forbidden: ForbiddenPairs) -> bool:
     return all((a, b) not in forbidden.pairs for a, b in zip(block, block[1:]))
 
 
-def _factors(symbols: Sequence[int], n: int) -> set:
-    return {tuple(symbols[i:i + n]) for i in range(len(symbols) - n + 1)}
+def _codes(symbols: Sequence[int], n: int) -> list[int]:
+    """Integer code of every length-n factor, in order of position.
+
+    The alphabet is ranked first, so the code of a factor is its base-k
+    numeral (k the number of distinct symbols) and two factors share a code
+    iff they are equal, whatever ints the symbols are.
+    """
+    if n < 1 or len(symbols) < n:
+        raise PrefixTooShort(f"need a prefix of length >= {n}")
+    rank = {s: i for i, s in enumerate(sorted(set(symbols)))}
+    k = len(rank)
+    top = k ** (n - 1)
+    code = 0
+    for s in symbols[:n - 1]:
+        code = code * k + rank[s]
+    codes = []
+    for s in symbols[n - 1:]:
+        code = code % top * k + rank[s]   # drop the oldest digit, add s
+        codes.append(code)
+    return codes
 
 
 def block_complexity(ray: Ray, n: int) -> int:
     """Number of distinct length-n factors of the prefix, p(n)."""
-    if n < 1 or len(ray) < n:
-        raise PrefixTooShort(f"need a prefix of length >= {n}")
-    return len(_factors(ray.symbols, n))
+    return len(set(_codes(ray.symbols, n)))
 
 
-def transitivity_index(ray: Ray, n: int) -> Optional[int]:
+def transitivity_index(ray: Ray, n: int) -> int:
     """Length of the shortest initial segment containing every observed
     length-n factor of the prefix."""
-    if n < 1 or len(ray) < n:
-        raise PrefixTooShort(f"need a prefix of length >= {n}")
-    wanted = _factors(ray.symbols, n)
-    seen = set()
-    for i in range(len(ray) - n + 1):
-        seen.add(tuple(ray.symbols[i:i + n]))
-        if len(seen) == len(wanted):
-            return i + n
-    return None
+    codes = _codes(ray.symbols, n)
+    # dict keys keep insertion order, so the last key is the factor whose
+    # first occurrence comes last
+    newest = next(reversed(dict.fromkeys(codes)))
+    return codes.index(newest) + n
 
 
-def covering_index(ray: Ray, n: int) -> Optional[int]:
+def covering_index(ray: Ray, n: int) -> int:
     """Length of the shortest window anywhere in the prefix containing every
     observed length-n factor."""
-    if n < 1 or len(ray) < n:
-        raise PrefixTooShort(f"need a prefix of length >= {n}")
-    symbols = ray.symbols
-    wanted = _factors(symbols, n)
-    p = len(wanted)
-
-    def window_covers(length: int) -> bool:
-        counts: dict = {}
-        distinct = 0
-        m = len(symbols) - n + 1
-        span = length - n + 1   # factors starting inside one window
-        for i in range(m):
-            f = tuple(symbols[i:i + n])
-            counts[f] = counts.get(f, 0) + 1
-            if counts[f] == 1:
-                distinct += 1
-            if i >= span:
-                g = tuple(symbols[i - span:i - span + n])
-                counts[g] -= 1
-                if counts[g] == 0:
-                    distinct -= 1
-            if i >= span - 1 and distinct == p:
-                return True
-        return False
-
-    lo, hi = p + n - 1, len(symbols)
-    if not window_covers(hi):
-        return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if window_covers(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    codes = _codes(ray.symbols, n)
+    counts = dict.fromkeys(codes, 0)
+    missing = len(counts)
+    best = len(codes)
+    lo = 0
+    for hi, c in enumerate(codes):
+        if counts[c] == 0:
+            missing -= 1
+        counts[c] += 1
+        # shrink from the left while the first factor recurs in the window
+        while counts[codes[lo]] > 1:
+            counts[codes[lo]] -= 1
+            lo += 1
+        if not missing and hi - lo + 1 < best:
+            best = hi - lo + 1
+    return best + n - 1
 
 
 def uniformity_ratio(ray: Ray, n_max: int) -> list[float]:
-    """Ratios phi(N)/theta(N) for N = 1..n_max where both are defined."""
+    """Ratios phi(N)/theta(N) for N = 1..n_max."""
     if len(ray) < n_max:
         raise PrefixTooShort(f"need a prefix of length >= {n_max}")
-    ratios = []
-    for n in range(1, n_max + 1):
-        phi = transitivity_index(ray, n)
-        theta = covering_index(ray, n)
-        if phi is not None and theta is not None:
-            ratios.append(phi / theta)
-    return ratios
+    return [transitivity_index(ray, n) / covering_index(ray, n)
+            for n in range(1, n_max + 1)]
 
 
 def uniform_distribution_test(ray: Ray, n: int) -> bool:
     """True iff phi(N) equals k*N with k the number of observed blocks."""
-    phi = transitivity_index(ray, n)
-    if phi is None:
-        raise PrefixTooShort("prefix is not transitive at this length")
-    return phi == block_complexity(ray, n) * n
+    return transitivity_index(ray, n) == block_complexity(ray, n) * n
 
 
 def block_stats(ray: Ray, n: int) -> BlockStats:

@@ -44,6 +44,29 @@ def test_ordering_is_exact():
         quad(0, 1, 2) < quad(0, 1, 3)   # mixed fields stay out of scope
 
 
+def test_float_comparisons_are_exact():
+    a = golden_alpha()
+    f = float(a)
+    # a is irrational and every finite float is rational
+    assert a != f and f != a and not a == f
+    assert len({a, f}) == 2
+    for x in (f, math.nextafter(f, 0), math.nextafter(f, 1), 0.5, 0.0, -1.0):
+        q = Fraction(x)
+        assert ((a < x, a <= x, a == x, a != x, a > x, a >= x)
+                == (a < q, a <= q, a == q, a != q, a > q, a >= q))
+        assert ((x < a, x <= a, x == a, x != a, x > a, x >= a)
+                == (q < a, q <= a, q == a, q != a, q > a, q >= a))
+
+
+def test_non_finite_floats_do_not_compare():
+    a = golden_alpha()
+    assert a != math.inf and a != math.nan and not a == math.inf
+    with pytest.raises(TypeError):
+        a < math.inf
+    with pytest.raises(TypeError):
+        math.nan >= a
+
+
 def test_exact_floor():
     assert exact_floor(quad(0, 1, 2)) == 1
     assert exact_floor(quad(0, -1, 2)) == -2

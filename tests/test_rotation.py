@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,57 @@ def test_rotation_number_cycles_short_sequences():
     a = rotation_number([FIB, ((3, 1), (2, 1))], depth=30)
     assert a.converged
     assert a.depth > 2
+
+
+def _inside_out_convergents(rows, depth):
+    """Each truncation evaluated from its innermost tail d_k/c_k outwards,
+    tail_j = d_j/c_j + a_{j+1}/c_{j+1} - c_{j+1}^-2 / tail_{j+1}, with None
+    for an infinite tail; a truncation that divides by a zero tail is left
+    out."""
+    mats = [rows[i % len(rows)] for i in range(depth)]
+    out = []
+    for k in range(1, depth + 1):
+        (_, _), (c, d) = mats[k - 1]
+        tail = Fraction(d, c)
+        for j in range(k - 2, -1, -1):
+            (_, _), (cj, dj) = mats[j]
+            (an, _), (cn, _) = mats[j + 1]
+            if tail == 0:
+                tail = None
+            else:
+                inv = Fraction(0) if tail is None else 1 / tail
+                tail = Fraction(dj, cj) + Fraction(an, cn) - inv / (cn * cn)
+        (a1, _), (c1, _) = mats[0]
+        if tail == 0:
+            continue
+        inv = Fraction(0) if tail is None else 1 / tail
+        out.append(Fraction(a1, c1) - inv / (c1 * c1))
+    return out
+
+
+def test_rotation_number_matches_inside_out_reference():
+    rng = random.Random(17)
+
+    def unimodular():
+        while True:
+            a, b, c, d = (rng.randint(-4, 4) for _ in range(4))
+            if c != 0 and a * d - b * c in (1, -1):
+                return ((a, b), (c, d))
+
+    # d = 0: the innermost tail of the first truncation is zero
+    cases = [[((1, 1), (1, 0))], [((1, 1), (1, 0)), FIB]]
+    cases += [[unimodular() for _ in range(rng.randint(1, 4))]
+              for _ in range(150)]
+    skipped = 0
+    for rows in cases:
+        depth = rng.randint(1, 25)
+        rn = rotation_number(rows, depth=depth, tol=0)
+        ref = _inside_out_convergents(rows, depth)
+        assert rn.convergents == tuple(ref[:len(rn.convergents)])
+        if not rn.converged:    # tol=0 stops only on two equal convergents
+            assert len(rn.convergents) == len(ref)
+        skipped += len(ref) < depth
+    assert skipped > 0
 
 
 def test_rotation_number_rejects_zero_c():

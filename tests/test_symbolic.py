@@ -74,6 +74,34 @@ def test_transitivity_and_covering_indices():
     assert covering_index(ray, 2) >= p + 1
 
 
+def _brute_force_indices(symbols, n):
+    """p(n), phi(n) and theta(n) straight from their definitions."""
+    def factors(s):
+        return {s[i:i + n] for i in range(len(s) - n + 1)}
+    wanted = factors(symbols)
+    phi = next(length for length in range(n, len(symbols) + 1)
+               if factors(symbols[:length]) == wanted)
+    theta = min(j - i for i in range(len(symbols))
+                for j in range(i + n, len(symbols) + 1)
+                if factors(symbols[i:j]) == wanted)
+    return len(wanted), phi, theta
+
+
+def test_indices_match_brute_force_definitions():
+    rng = random.Random(2024)
+    for _ in range(150):
+        # negative and gapped int symbols must code without collision
+        alphabet = rng.sample(range(-6, 7), rng.randint(1, 4))
+        symbols = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 30)))
+        ray = Ray(symbols)
+        for n in range(1, len(ray) + 1):
+            want = _brute_force_indices(symbols, n)
+            assert (block_complexity(ray, n), transitivity_index(ray, n),
+                    covering_index(ray, n)) == want
+            s = block_stats(ray, n)
+            assert (s.distinct_blocks, s.transitivity, s.covering) == want
+
+
 def test_index_ordering_on_golden():
     ray = golden_ray()
     for n in range(1, 9):
