@@ -17,6 +17,10 @@ class NonBijectivePermutation(IETLabError):
     pass
 
 
+class ModeMismatch(IETLabError):
+    """The lengths cannot be held in the requested arithmetic mode."""
+
+
 class DomainError(IETLabError):
     """Point outside the domain [0, 1)."""
 

@@ -14,30 +14,32 @@ where v_i = [left, ...) goes onto the target [lo, hi):
   left endpoint to lo, so the image of every branch is again half-open and
   the map is a bijection of [0, 1).
 
-Both orbit loops read those rows: the recording loop behind `evaluate`,
-`orbit` and `keane_condition`, and the counting loop `count_visits` behind
-the census.  Float mode rounds each image once, in that one addition or
-subtraction, and then clamps it into [lo, hi): an image that rounded onto
-hi or past it becomes nextafter(hi, 0), one that rounded below lo becomes
-lo.  So every float image lies in its branch's target, and an orbit never
-leaves [0, 1).  Exact arithmetic needs no clamp.
+One orbit loop, `_record`, reads those rows.  `evaluate`, `orbit`,
+`keane_condition` and the census behind `count_visits` all step through
+it; the census records its orbit a block at a time and bins each block.
+Float mode rounds each image once, in that one addition or subtraction,
+and then clamps it into [lo, hi): an image that rounded onto hi or past it
+becomes nextafter(hi, 0), one that rounded below lo becomes lo.  So every
+float image lies in its branch's target, and an orbit never leaves
+[0, 1).  Exact arithmetic needs no clamp.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import (DomainError, LengthSumError, NonBijectivePermutation,
-                     NonPositiveLength)
-from .numbers import is_exact
+from .errors import (DomainError, LengthSumError, ModeMismatch,
+                     NonBijectivePermutation, NonPositiveLength)
+from .numbers import Quadratic, is_exact
 
 FLOAT_SUM_TOL = 1e-12
 KEANE_FLOAT_TOL = 1e-10  # collision tolerance, below drift of 1e4 isometry steps
+_BLOCK = 8192            # orbit points recorded at a time on long runs
 
 
 def is_irreducible(pi: Sequence[int]) -> bool:
@@ -109,9 +111,19 @@ def validate(lengths, pi, signs=None, mode: Optional[str] = None) -> IETSpec:
     if len(signs) != len(lengths) or any(s not in (1, -1) for s in signs):
         raise NonBijectivePermutation("signs must be +1/-1, one per interval")
 
+    exact = all(is_exact(x) for x in lengths)
     if mode is None:
-        mode = "exact" if all(is_exact(x) for x in lengths) else "float"
+        mode = "exact" if exact else "float"
+    if mode not in ("exact", "float"):
+        raise ModeMismatch(f"unknown mode {mode!r}, expected exact or float")
     if mode == "exact":
+        if not exact:
+            raise ModeMismatch("exact mode needs rational or quadratic "
+                               "lengths, not floats")
+        fields = {x.d for x in lengths if isinstance(x, Quadratic)}
+        if len(fields) > 1:
+            raise DomainError("lengths in mixed quadratic fields: "
+                              + ", ".join(f"sqrt({d})" for d in sorted(fields)))
         lengths = tuple(Fraction(x) if isinstance(x, int) else x for x in lengths)
     else:
         lengths = tuple(float(x) for x in lengths)
@@ -224,35 +236,34 @@ def orbit(spec: IETSpec, x0, n_steps: int) -> Orbit:
 
 def count_visits(spec: IETSpec, x0, n_steps: int, edges) -> list[int]:
     """Visits of x0, T(x0), ..., T^(n_steps-1)(x0) to the bins
-    [edges[k], edges[k+1]); the last bin also takes points at or past its
-    right edge.
+    [edges[k], edges[k+1]); the first bin also takes points below its left
+    edge, the last bin points at or past its right edge.
 
-    The edges are compared in the spec's arithmetic.  This is the counting
-    twin of the recording loop, kept allocation-free for censuses of
-    millions of steps: each step bisects the edges for the bin and the cuts
-    for the branch.
+    The edges must be sorted; they are compared in the spec's arithmetic.
+    The orbit is recorded `_BLOCK` points at a time by the one orbit loop,
+    so memory stays bounded for censuses of millions of steps.  A float block is
+    sorted and bisected once per edge; an exact block is bisected once per
+    point, since sorting it takes about twice as many `Quadratic`
+    comparisons and ran about twice as slow.
     """
-    rows, cuts, clamp = spec.branches, spec.cuts, spec.mode == "float"
-    br, nxt = bisect_right, math.nextafter
     edges = [_scalar(spec, e) for e in edges]
     counts = [0] * (len(edges) - 1)
     last = len(counts) - 1
     x = _start(spec, x0)
-    for _ in range(n_steps):
-        b = br(edges, x) - 1
-        counts[b if b <= last else last] += 1
-        sign, shift, left, lo, hi = rows[br(cuts, x)]
-        if sign > 0:
-            x = x + shift
-        elif x == left:
-            x = lo
+    for done in range(0, n_steps, _BLOCK):
+        pts, _ = _record(spec, x, min(_BLOCK, n_steps - done))
+        x = pts.pop()
+        if spec.mode == "float":
+            pts.sort()
+            below = 0
+            for k in range(last):
+                upto = bisect_left(pts, edges[k + 1], below)
+                counts[k] += upto - below
+                below = upto
+            counts[last] += len(pts) - below
         else:
-            x = shift - x
-        if clamp:
-            if x >= hi:
-                x = nxt(hi, 0.0)
-            elif x < lo:
-                x = lo
+            for p in pts:   # bisect the inner edges edges[1..last] alone
+                counts[bisect_right(edges, p, 1, last + 1) - 1] += 1
     return counts
 
 
@@ -286,7 +297,7 @@ def keane_condition(spec: IETSpec, depth: int,
     exact = spec.mode == "exact"
     pts = list(disc)
     for s in range(depth):
-        pts = [evaluate(spec, p) for p in pts]
+        pts = [_record(spec, p, 1)[0][1] for p in pts]
         for p in pts:
             if exact:
                 if p in disc:

@@ -184,6 +184,20 @@ def test_spec_without_lambda(tmp_path, capsys):
     assert "lambda" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("lam, message", [
+    ([0.4, 0.6], "exact mode"),
+    ([{"a": "1/2", "b": "1/10", "d": 5}, {"a": "1/2", "b": "-1/10", "d": 2}],
+     "mixed quadratic fields"),
+], ids=["float-lengths", "mixed-fields"])
+def test_exact_spec_with_foreign_lengths_is_a_domain_error(lam, message,
+                                                           tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"lambda": lam, "pi": [2, 1],
+                                "mode": "exact"}))
+    assert main(["eval", "--spec", str(path), "--x", "0.1"]) == 1
+    assert message in _one_line_error(capsys)
+
+
 def test_zero_denominator_point(golden_path, capsys):
     assert main(["eval", "--spec", golden_path, "--x", "1/0"]) == 2
     assert "zero denominator" in _one_line_error(capsys)

@@ -1,13 +1,16 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ietlab import errors
-from ietlab.iet import (KeaneStatus, evaluate, interval_index, inverse,
-                        is_irreducible, keane_condition, orbit, validate)
-from ietlab.numbers import golden_alpha
+from ietlab.iet import (KeaneStatus, KeaneVerdict, evaluate, interval_index,
+                        inverse, is_irreducible, keane_condition, orbit,
+                        validate)
+from ietlab.numbers import golden_alpha, quad
 
 
 def golden_spec(mode="exact"):
@@ -35,6 +38,19 @@ def test_validate_rejects_bad_input():
         validate((Fraction(1, 2), Fraction(1, 2)), (1, 1))
     with pytest.raises(errors.LengthSumError):
         validate((0.5, 0.5 + 1e-9), (2, 1), mode="float")
+
+
+def test_validate_rejects_lengths_foreign_to_the_exact_mode():
+    with pytest.raises(errors.ModeMismatch):
+        validate((0.4, 0.6), (2, 1), mode="exact")
+    with pytest.raises(errors.ModeMismatch):
+        validate((Fraction(2, 5), Fraction(3, 5)), (2, 1), mode="binary32")
+    # one field is fine, two are not
+    validate((quad(0, Fraction(1, 5), 5), 1 - quad(0, Fraction(1, 5), 5)),
+             (2, 1))
+    with pytest.raises(errors.DomainError, match="mixed quadratic fields"):
+        validate((quad(Fraction(1, 2), Fraction(1, 10), 5),
+                  quad(Fraction(1, 2), Fraction(-1, 10), 2)), (2, 1))
 
 
 def test_is_irreducible():
@@ -152,3 +168,46 @@ def test_golden_orbit_preserves_rotation_structure(k):
     y = evaluate(spec, x)
     shifted = x + a
     assert y == (shifted - 1 if shifted >= 1 else shifted)
+
+
+def _random_spec(rng, n, mode, flips):
+    perms = [p for p in itertools.permutations(range(1, n + 1))
+             if is_irreducible(p)]
+    raw = [rng.randint(1, 12) for _ in range(n)]
+    if mode == "exact":
+        lam = [Fraction(r, sum(raw)) for r in raw]
+    else:   # rational floats collide up to rounding, perturbed ones do not
+        jitter = rng.choice((0.0, 1e-3))
+        lam = [r / sum(raw) + rng.uniform(-jitter, jitter) for r in raw[:-1]]
+        lam.append(1 - sum(lam))
+    signs = [rng.choice((1, -1)) for _ in range(n)] if flips else None
+    return validate(lam, rng.choice(perms), signs, mode=mode)
+
+
+def _keane_by_evaluate(spec, depth, tol=1e-10):
+    # the definition, one evaluate per cut per step
+    disc = list(spec.cuts)
+    pts = list(disc)
+    for s in range(depth):
+        pts = [evaluate(spec, p) for p in pts]
+        if spec.mode == "exact" and any(p in disc for p in pts):
+            return KeaneVerdict(KeaneStatus.FAILS, depth, s, tuple(pts))
+        if spec.mode == "float" and any(abs(p - d) <= tol
+                                        for p in pts for d in disc):
+            return KeaneVerdict(KeaneStatus.INCONCLUSIVE, depth, s,
+                                tuple(pts))
+    return KeaneVerdict(KeaneStatus.HOLDS, depth)
+
+
+@pytest.mark.parametrize("mode, flips", [("exact", False), ("exact", True),
+                                         ("float", False), ("float", True)])
+def test_keane_matches_stepping_by_evaluate(mode, flips):
+    rng = random.Random(f"keane:{mode}:{flips}")
+    seen = set()
+    for _ in range(40):
+        spec = _random_spec(rng, rng.choice((2, 3, 4)), mode, flips)
+        for depth in (0, 1, 7, 150):
+            verdict = keane_condition(spec, depth)
+            assert verdict == _keane_by_evaluate(spec, depth), spec
+            seen.add(verdict.status)
+    assert len(seen) == 2   # both a collision and none were met

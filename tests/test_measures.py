@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 
 from ietlab import errors
-from ietlab.iet import evaluate, is_irreducible, orbit, validate
-from ietlab.measures import (birkhoff_average, empirical_measure,
+from ietlab.iet import count_visits, evaluate, is_irreducible, orbit, validate
+from ietlab.measures import (_bin_edges, birkhoff_average, empirical_measure,
                              estimate_ergodic_count)
 from ietlab.numbers import golden_alpha, quad
 
@@ -173,3 +174,47 @@ def test_exact_golden_orbit_and_measure_values():
                               (62, 63, 63, 3, 59, 63, 62, 62, 63))
     assert birkhoff_average(spec, Fraction(1, 10),
                             (Fraction(1, 5), 1 - a), 500) == 0.182
+
+
+def _visits_by_bisect(spec, x0, n_steps, edges):
+    # one bisect per iterate; the last bin takes points at or past its edge
+    counts = [0] * (len(edges) - 1)
+    x = x0
+    for _ in range(n_steps):
+        b = bisect_right(edges, x) - 1
+        counts[min(b, len(counts) - 1)] += 1
+        x = evaluate(spec, x)
+    return counts
+
+
+@pytest.mark.parametrize("flips", [False, True], ids=["oriented", "flips"])
+def test_count_visits_across_block_boundaries(flips):
+    # the census records 8192 points at a time
+    rng = random.Random(f"blocks:{flips}")
+    for _ in range(3):
+        spec = _random_float_4iet(rng, flips)
+        x0 = rng.random()
+        lo = rng.uniform(0.0, 0.5)
+        for edges in (_bin_edges(spec, 64),
+                      [0.0, lo, lo + rng.uniform(0.0, 0.5), 1.0]):
+            for n in (1, 8191, 8192, 8193, 2 * 8192 + 1):
+                assert (count_visits(spec, x0, n, edges)
+                        == _visits_by_bisect(spec, x0, n, edges)), (spec, n)
+
+
+def test_count_visits_exact_rational_spec():
+    spec = validate((Fraction(2, 7), Fraction(3, 11), 1 - Fraction(2, 7)
+                     - Fraction(3, 11)), (3, 1, 2), (1, -1, 1))
+    edges = [Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(5, 7), 1]
+    x0 = Fraction(1, 13)
+    for n in (1, 8192, 8193):
+        assert (count_visits(spec, x0, n, edges)
+                == _visits_by_bisect(spec, x0, n, edges))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_count_visits_outer_bins_take_points_outside_the_edges(mode):
+    # the orbit 1/4, 3/4, 1/4, ... lies below the first edge and on the last
+    spec = validate((Fraction(1, 2), Fraction(1, 2)), (2, 1), mode=mode)
+    edges = (Fraction(1, 2), Fraction(5, 8), Fraction(3, 4))
+    assert count_visits(spec, Fraction(1, 4), 5, edges) == [3, 2]
