@@ -80,10 +80,15 @@ class IETSpec:
         return all(s == 1 for s in self.signs)
 
     def pi_inverse(self) -> tuple[int, ...]:
-        inv = [0] * self.n
-        for i, p in enumerate(self.pi, start=1):
-            inv[p - 1] = i
-        return tuple(inv)
+        return _inverse_permutation(self.pi)
+
+
+def _inverse_permutation(pi: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of a permutation of 1..n, 1-based."""
+    inv = [0] * len(pi)
+    for i, p in enumerate(pi, start=1):
+        inv[p - 1] = i
+    return tuple(inv)
 
 
 def _cumulative(lengths, mode):
@@ -139,10 +144,7 @@ def validate(lengths, pi, signs=None, mode: Optional[str] = None) -> IETSpec:
         raise LengthSumError(f"lengths sum to {total!r}, expected 1")
 
     beta = _cumulative(lengths, mode)
-    inv = [0] * len(pi)
-    for i, p in enumerate(pi, start=1):
-        inv[p - 1] = i
-    lengths_pi = tuple(lengths[j - 1] for j in inv)
+    lengths_pi = tuple(lengths[j - 1] for j in _inverse_permutation(pi))
     beta_pi = _cumulative(lengths_pi, mode)
     return IETSpec(lengths, pi, signs, mode, beta, beta_pi, beta[1:-1],
                    _branches(beta, beta_pi, pi, signs))

@@ -31,8 +31,6 @@ class MatrixSequence:
     matrices: tuple[IntMatrix, ...]
     tags: tuple[str, ...]
     final_lengths: Optional[tuple] = None     # letter order, normalized
-    final_top: Optional[tuple[int, ...]] = None
-    final_bottom: Optional[tuple[int, ...]] = None
 
     def __len__(self):
         return len(self.matrices)
@@ -57,9 +55,7 @@ class _RauzyState:
         n = spec.n
         self.n = n
         self.top = list(range(1, n + 1))
-        self.bottom = [0] * n
-        for i, p in enumerate(spec.pi, start=1):
-            self.bottom[p - 1] = i
+        self.bottom = list(spec.pi_inverse())
         self.lengths = {i: spec.lengths[i - 1] for i in self.top}
         self.mode = spec.mode
 
@@ -70,22 +66,17 @@ class _RauzyState:
         lt, lb = self.lengths[t], self.lengths[b]
         if lt == lb:
             raise KeaneViolation("competing lengths are equal")
-        if lt > lb:
-            tag = "a"
-            self.lengths[t] = lt - lb
-            self.bottom.pop()
-            self.bottom.insert(self.bottom.index(t) + 1, b)
-            m = intmat.elementary(self.n, t - 1, b - 1)
-        else:
-            tag = "b"
-            self.lengths[b] = lb - lt
-            self.top.pop()
-            self.top.insert(self.top.index(b) + 1, t)
-            m = intmat.elementary(self.n, b - 1, t - 1)
+        # the longer of the two last intervals wins; the loser leaves the
+        # end of its row and goes in just behind the winner
+        tag, win, lose, row = (("a", t, b, self.bottom) if lt > lb
+                               else ("b", b, t, self.top))
+        self.lengths[win] -= self.lengths[lose]
+        row.pop()
+        row.insert(row.index(win) + 1, lose)
         total = sum(self.lengths.values())
         for k in self.lengths:
             self.lengths[k] = self.lengths[k] / total
-        return m, tag
+        return intmat.elementary(self.n, win - 1, lose - 1), tag
 
     def to_spec(self) -> IETSpec:
         lengths = tuple(self.lengths[ell] for ell in self.top)
@@ -123,13 +114,11 @@ def induce(spec: IETSpec, steps: int) -> MatrixSequence:
         except (KeaneViolation, Reducible) as exc:
             exc.step = k
             exc.partial = MatrixSequence(tuple(matrices), tuple(tags),
-                                         state.letter_lengths(),
-                                         tuple(state.top), tuple(state.bottom))
+                                         state.letter_lengths())
             raise
         matrices.append(m)
         tags.append(tag)
-    return MatrixSequence(tuple(matrices), tuple(tags), state.letter_lengths(),
-                          tuple(state.top), tuple(state.bottom))
+    return MatrixSequence(tuple(matrices), tuple(tags), state.letter_lengths())
 
 
 def telescope(seq: MatrixSequence, cut_points: Sequence[int]) -> MatrixSequence:
@@ -149,16 +138,31 @@ def telescope(seq: MatrixSequence, cut_points: Sequence[int]) -> MatrixSequence:
         matrices.append(intmat.product(seq.matrices[lo:hi]))
         tags.append("".join(seq.tags[lo:hi]))
         lo = hi
-    return MatrixSequence(tuple(matrices), tuple(tags), seq.final_lengths,
-                          seq.final_top, seq.final_bottom)
+    return MatrixSequence(tuple(matrices), tuple(tags), seq.final_lengths)
+
+
+def _window_products(seq: MatrixSequence, max_length: int):
+    """Yield (L, products) for L = 1..max_length, where products[s] is the
+    ordered product of matrices[s:s+L].  Level L is level L-1 times one
+    more factor: P_L(s) = P_{L-1}(s) * M_{s+L-1}."""
+    ms = seq.matrices
+    products = list(ms)
+    for length in range(1, max_length + 1):
+        if length > 1:
+            products = [intmat.mat_mul(p, ms[s + length - 1])
+                        for s, p in enumerate(products[:-1])]
+        yield length, products
 
 
 def detect_stationarity(seq: MatrixSequence, max_block: int = 12,
                         min_repeats: int = 3) -> Optional[StationarityWitness]:
     """Search for a repeating block product.
 
-    Exhaustive over block lengths 1..max_block and phases 0..L-1; returns the
-    witness with the smallest block length, earliest start on ties, or None.
+    For block lengths L = 1..max_block in turn, scans every start s for
+    min_repeats consecutive blocks matrices[s+kL : s+(k+1)L] with equal
+    products, and returns the witness with the smallest L and, on ties, the
+    earliest s, or None.  repetitions_verified is the whole run of equal
+    blocks from s, which may exceed min_repeats.
     """
     if min_repeats < 1 or max_block < 1:
         raise SequenceTooShort("max_block and min_repeats must be >= 1")
@@ -166,35 +170,14 @@ def detect_stationarity(seq: MatrixSequence, max_block: int = 12,
     if effective_max < 1:
         raise SequenceTooShort(
             f"{len(seq)} matrices cannot hold {min_repeats} blocks")
-    for length in range(1, effective_max + 1):
-        best = None
-        for phase in range(length):
-            products = [intmat.product(seq.matrices[s:s + length])
-                        for s in range(phase, len(seq) - length + 1, length)]
-            if min_repeats == 1 and products:
-                cand = StationarityWitness(phase, length, products[0], 1)
-                if best is None or cand.start < best.start:
-                    best = cand
-                continue
-            run_start, run = 0, 1
-            for i in range(1, len(products)):
-                if products[i] == products[i - 1]:
-                    run += 1
-                else:
-                    run_start, run = i, 1
-                if run >= min_repeats:
-                    # extend the run to its full length
-                    while (i + 1 < len(products)
-                           and products[i + 1] == products[i]):
-                        i += 1
-                        run += 1
-                    cand = StationarityWitness(phase + run_start * length,
-                                               length, products[run_start], run)
-                    if best is None or cand.start < best.start:
-                        best = cand
-                    break
-        if best is not None:
-            return best
+    for length, products in _window_products(seq, effective_max):
+        for s, p in enumerate(products):
+            run = 1
+            while (s + run * length < len(products)
+                   and products[s + run * length] == p):
+                run += 1
+            if run >= min_repeats:
+                return StationarityWitness(s, length, p, run)
     return None
 
 
@@ -203,14 +186,9 @@ def simplicity_check(seq: MatrixSequence, window: int) -> bool:
     positive (primitivity surrogate for simplicity)."""
     if not seq.matrices:
         raise SequenceTooShort("empty sequence")
-    for start in range(len(seq)):
-        acc = None
-        for w in range(1, min(window, len(seq) - start) + 1):
-            m = seq.matrices[start + w - 1]
-            acc = m if acc is None else intmat.mat_mul(acc, m)
-            if intmat.is_strictly_positive(acc):
-                return True
-    return False
+    return any(intmat.is_strictly_positive(p) for _, products
+               in _window_products(seq, min(window, len(seq)))
+               for p in products)
 
 
 # ---------------------------------------------------------------------------

@@ -114,11 +114,8 @@ def block_stats_to_csv(rows: Sequence) -> str:
     w = csv.writer(buf)
     w.writerow(["N", "p", "phi", "theta", "ratio"])
     for s in rows:
-        ratio = (s.transitivity / s.covering
-                 if s.transitivity is not None and s.covering else "")
-        w.writerow([s.N, s.distinct_blocks,
-                    "" if s.transitivity is None else s.transitivity,
-                    "" if s.covering is None else s.covering, ratio])
+        w.writerow([s.N, s.distinct_blocks, s.transitivity, s.covering,
+                    s.transitivity / s.covering])
     return buf.getvalue()
 
 

@@ -9,7 +9,7 @@ analyzed prefix: all indices here are prefix-relative surrogates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from .errors import PrefixTooShort
 from .iet import IETSpec, orbit
@@ -32,8 +32,8 @@ class ForbiddenPairs:
 class BlockStats:
     N: int
     distinct_blocks: int
-    transitivity: Optional[int]
-    covering: Optional[int]
+    transitivity: int
+    covering: int
 
 
 def code_orbit(spec: IETSpec, x0, n_steps: int) -> Ray:

@@ -162,6 +162,54 @@ def test_simplicity_check():
     assert not simplicity_check(MatrixSequence((F1,), ("b",)), 1)
 
 
+def _stationarity_reference(ms, max_block, min_repeats):
+    """Smallest L, then earliest s, with min_repeats equal consecutive
+    block products; then the full run of equal blocks from s."""
+    def block(s, length):
+        return intmat.product(ms[s:s + length])
+    for length in range(1, max_block + 1):
+        for s in range(len(ms) - min_repeats * length + 1):
+            p = block(s, length)
+            if all(block(s + k * length, length) == p
+                   for k in range(1, min_repeats)):
+                run = min_repeats
+                while (s + (run + 1) * length <= len(ms)
+                       and block(s + run * length, length) == p):
+                    run += 1
+                return s, length, p, run
+    return None
+
+
+def test_stationarity_and_simplicity_match_brute_force_definitions():
+    rng = random.Random(8)
+    for _ in range(400):
+        n = rng.choice((2, 3))
+        pool = [intmat.elementary(n, i, j)
+                for i in range(n) for j in range(n) if i != j]
+        pre = [rng.choice(pool) for _ in range(rng.choice((0, 0, 3, 7)))]
+        if rng.random() < 0.7:
+            period = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+            body = period * rng.randint(1, 8)
+        else:
+            body = [rng.choice(pool) for _ in range(rng.randint(1, 40))]
+        ms = tuple(pre + body)
+        seq = MatrixSequence(ms, ("?",) * len(ms))
+        min_repeats = rng.randint(1, 5)
+        max_block = rng.randint(1, max(1, len(ms) // min_repeats) + 4)
+        if len(ms) < min_repeats:
+            with pytest.raises(errors.SequenceTooShort):
+                detect_stationarity(seq, max_block, min_repeats)
+        else:
+            w = detect_stationarity(seq, max_block, min_repeats)
+            got = w and (w.start, w.block_length, w.block_product,
+                         w.repetitions_verified)
+            assert got == _stationarity_reference(ms, max_block, min_repeats)
+        window = rng.randint(0, 8)
+        assert simplicity_check(seq, window) == any(
+            intmat.is_strictly_positive(intmat.product(ms[s:s + w]))
+            for w in range(1, window + 1) for s in range(len(ms) - w + 1))
+
+
 def test_factor_zero_one_elementary_case():
     fs = factor_zero_one(((2, 1), (1, 1)))
     assert all(intmat.is_zero_one(f) for f in fs)
