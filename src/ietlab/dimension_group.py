@@ -44,11 +44,6 @@ def collatz_wielandt(p: IntMatrix, x: Sequence):
     return min(ratios)
 
 
-def _max_ratio(p: IntMatrix, x: Sequence):
-    px = intmat.mat_vec(p, x)
-    return max(Fraction(num, den) for num, den in zip(px, x) if den > 0)
-
-
 # ---------------------------------------------------------------------------
 # cyclic structure / primitivity
 # ---------------------------------------------------------------------------
@@ -159,8 +154,9 @@ def perron_frobenius(p: IntMatrix, tol: float = 1e-12,
     history = []
     tol_f = Fraction(tol).limit_denominator(10 ** 18)
     for it in range(1, max_iter + 1):
-        lower = collatz_wielandt(p, x)
-        upper = _max_ratio(p, x)
+        px = intmat.mat_vec(p, x)
+        ratios = [Fraction(num, den) for num, den in zip(px, x) if den > 0]
+        lower, upper = min(ratios), max(ratios)
         history.append((lower, upper))
         if upper - lower <= tol_f:
             total = sum(x)
@@ -170,10 +166,8 @@ def perron_frobenius(p: IntMatrix, tol: float = 1e-12,
             residual = float(sum(abs(a - lam * b) for a, b in zip(pv, vec)))
             return PFResult(lam, vec, lower, upper, it, residual,
                             tuple(history))
-        x = intmat.mat_vec(p, x)
-        g = math.gcd(*x)
-        if g > 1:
-            x = tuple(v // g for v in x)
+        g = math.gcd(*px)
+        x = tuple(v // g for v in px)
     raise MaxIterExceeded(f"bracket wider than {tol} after {max_iter} iterations")
 
 

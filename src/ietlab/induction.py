@@ -73,17 +73,25 @@ class _RauzyState:
         self.lengths[win] -= self.lengths[lose]
         row.pop()
         row.insert(row.index(win) + 1, lose)
-        total = sum(self.lengths.values())
-        for k in self.lengths:
-            self.lengths[k] = self.lengths[k] / total
+        if self.mode == "float":   # its rounding depends on the scale
+            self._normalise()
         return intmat.elementary(self.n, win - 1, lose - 1), tag
 
+    def _normalise(self):
+        total = sum(self.lengths.values())
+        self.lengths = {k: v / total for k, v in self.lengths.items()}
+
     def to_spec(self) -> IETSpec:
-        lengths = tuple(self.lengths[ell] for ell in self.top)
+        lengths = self.letter_lengths()
         pi = tuple(self.bottom.index(ell) + 1 for ell in self.top)
-        return validate(lengths, pi, mode=self.mode)
+        return validate(tuple(lengths[ell - 1] for ell in self.top), pi,
+                        mode=self.mode)
 
     def letter_lengths(self) -> tuple:
+        """Lengths in letter order.  Exact ones are scaled to sum 1 only
+        here, as a positive scale changes no comparison."""
+        if self.mode == "exact":
+            self._normalise()
         return tuple(self.lengths[ell] for ell in range(1, self.n + 1))
 
 

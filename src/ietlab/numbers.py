@@ -40,7 +40,27 @@ def quad(a, b, d: int):
     s, d0 = _squarefree_split(d)
     if d0 == 1:
         return a + b * s
-    return Quadratic(a, b * s, d0)
+    return _field(a, b * s, d0)
+
+
+def _field(a: Fraction, b: Fraction, d: int):
+    """The canonical a + b*sqrt(d): the Fraction a when b == 0."""
+    if not b:
+        return a
+    x = object.__new__(Quadratic)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Sign of a + b*sqrt(d); for squarefree d > 1, a*a == b*b*d only at 0."""
+    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    sa, sb = (p > 0) - (p < 0), (r > 0) - (r < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa if (p * s) ** 2 > (r * q) ** 2 * d else sb   # opposite signs
 
 
 def _by_sign(op):
@@ -68,92 +88,70 @@ class Quadratic:
     def __setattr__(self, *args):
         raise AttributeError("Quadratic is immutable")
 
-    # -- coercion ---------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Quadratic):
-            if other.d != self.d:
-                raise ValueError("mixed quadratic fields: sqrt(%d) vs sqrt(%d)"
-                                 % (self.d, other.d))
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Quadratic(Fraction(other), Fraction(0), self.d)
-        return None
+    def _d(self, other: "Quadratic") -> int:
+        if other.d != self.d:
+            raise ValueError("mixed quadratic fields: sqrt(%d) vs sqrt(%d)"
+                             % (self.d, other.d))
+        return self.d
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return quad(self.a + o.a, self.b + o.b, self.d)
+        if isinstance(other, Quadratic):
+            return _field(self.a + other.a, self.b + other.b, self._d(other))
+        if isinstance(other, (int, Fraction)):
+            return _field(self.a + other, self.b, self.d)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return quad(self.a - o.a, self.b - o.b, self.d)
+        if isinstance(other, Quadratic):
+            return _field(self.a - other.a, self.b - other.b, self._d(other))
+        if isinstance(other, (int, Fraction)):
+            return _field(self.a - other, self.b, self.d)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return quad(o.a - self.a, o.b - self.b, self.d)
+        if isinstance(other, (int, Fraction)):
+            return _field(other - self.a, -self.b, self.d)
+        return NotImplemented
 
     def __neg__(self):
-        return Quadratic(-self.a, -self.b, self.d)
+        return _field(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return quad(self.a * o.a + self.b * o.b * self.d,
-                    self.a * o.b + self.b * o.a, self.d)
+        if isinstance(other, Quadratic):
+            d = self._d(other)
+            return _field(self.a * other.a + self.b * other.b * d,
+                          self.a * other.b + self.b * other.a, d)
+        if isinstance(other, (int, Fraction)):
+            return _field(self.a * other, self.b * other, self.d)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # multiply by the conjugate of the divisor
-        norm = o.a * o.a - o.b * o.b * self.d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero quadratic")
-        num = self * Quadratic(o.a, -o.b, self.d)
-        if isinstance(num, Quadratic):
-            return quad(num.a / norm, num.b / norm, self.d)
-        return num / norm
+        if isinstance(other, Quadratic):
+            # times the conjugate of the divisor over its nonzero norm
+            d, (c, e) = self._d(other), (other.a, other.b)
+            norm = c * c - e * e * d
+            return _field((self.a * c - self.b * e * d) / norm,
+                          (self.b * c - self.a * e) / norm, d)
+        if isinstance(other, (int, Fraction)):
+            return _field(self.a / other, self.b / other, self.d)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+        if isinstance(other, (int, Fraction)):
+            k = other / (self.a * self.a - self.b * self.b * self.d)
+            return _field(k * self.a, -k * self.b, self.d)
+        return NotImplemented
 
     def __abs__(self):
-        return -self if self._sign() < 0 else self
+        return -self if _sign(self.a, self.b, self.d) < 0 else self
 
     # -- order ------------------------------------------------------------
-
-    def _sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 d
-        if a * a > b * b * self.d:
-            return 1 if a > 0 else -1
-        if a * a < b * b * self.d:
-            return 1 if b > 0 else -1
-        return 0  # unreachable for squarefree d > 1, kept for safety
 
     def _cmp(self, other) -> int:
         """Exact sign of self - other; NotImplemented for other types, NaN
@@ -162,13 +160,11 @@ class Quadratic:
             if not math.isfinite(other):
                 return NotImplemented
             other = Fraction(other)
-        if isinstance(other, (int, Fraction)):   # no coercion to Quadratic
-            return Quadratic(self.a - other, self.b, self.d)._sign()
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        diff = Quadratic(self.a - o.a, self.b - o.b, self.d)
-        return diff._sign()
+        if isinstance(other, (int, Fraction)):
+            return _sign(self.a - other, self.b, self.d)
+        if isinstance(other, Quadratic):
+            return _sign(self.a - other.a, self.b - other.b, self._d(other))
+        return NotImplemented
 
     __eq__ = _by_sign(operator.eq)
     __ne__ = _by_sign(operator.ne)
@@ -198,15 +194,18 @@ class Quadratic:
         return f"({self.a} + {self.b}*sqrt({self.d}))"
 
 
+# slot setters past the immutability guard, for _field alone
+_set_a, _set_b, _set_d = (s.__set__ for s in (Quadratic.a, Quadratic.b,
+                                              Quadratic.d))
+
+
 def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, Quadratic))
 
 
 def exact_floor(x) -> int:
     """Floor of an int, Fraction or Quadratic, computed exactly."""
-    if isinstance(x, Quadratic):
-        return x.__floor__()
-    return math.floor(x)
+    return math.floor(x)     # a Quadratic floors through __floor__
 
 
 def golden_alpha() -> Quadratic:

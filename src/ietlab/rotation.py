@@ -186,19 +186,14 @@ def detect_quadratic_surd(block: Sequence[MoebiusMatrix]) -> QuadraticSurd:
 def _exact_cycle_set(x, depth: int) -> frozenset:
     """Eventually periodic cycle of complete quotients of the regular CF of
     an exact number; empty for rationals (finite expansion)."""
-    seen: dict = {}
-    current = x
+    if not isinstance(x, Quadratic):
+        return frozenset()   # rational: the expansion terminates
+    seen: dict = {}          # complete quotient -> its index
     for k in range(depth):
-        if not isinstance(current, Quadratic):
-            return frozenset()   # rational remainder: expansion terminates
-        if current in seen:
-            keys = list(seen)
-            return frozenset(keys[keys.index(current):])
-        seen[current] = k
-        frac = current - exact_floor(current)
-        if not isinstance(frac, Quadratic) and frac == 0:
-            return frozenset()
-        current = 1 / frac
+        if x in seen:
+            return frozenset(list(seen)[seen[x]:])
+        seen[x] = k
+        x = 1 / (x - exact_floor(x))   # an irrational never has frac 0
     raise PrecisionLoss(f"no cycle within {depth} complete quotients")
 
 

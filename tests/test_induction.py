@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -5,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ietlab import errors, intmat
-from ietlab.iet import validate
+from ietlab.iet import is_irreducible, validate
 from ietlab.induction import (BratteliDiagram, MatrixSequence,
                               detect_stationarity, factor_zero_one, induce,
                               rauzy_step, simplicity_check, telescope,
                               to_bratteli)
-from ietlab.numbers import golden_alpha
+from ietlab.numbers import golden_alpha, quad
 
 F2 = ((1, 0), (1, 1))   # top-type elementary matrix for the golden path
 F1 = ((1, 1), (0, 1))
@@ -22,8 +24,6 @@ def golden_spec():
 
 
 def random_float_spec(rng, n):
-    import itertools
-    from ietlab.iet import is_irreducible
     perms = [p for p in itertools.permutations(range(1, n + 1))
              if is_irreducible(p)]
     raw = [rng.random() + 0.05 for _ in range(n)]
@@ -108,6 +108,91 @@ def test_induce_rational_halts_with_context():
     exc = exc_info.value
     assert hasattr(exc, "step") and hasattr(exc, "partial")
     assert len(exc.partial.matrices) == exc.step
+
+
+def _renormalising_reference(spec, steps):
+    """Rauzy induction in letter coordinates that rescales the lengths to
+    sum 1 after every step.  Returns the matrices, tags, letter lengths,
+    the two rows, and the step of a KeaneViolation (None if all ran)."""
+    n = spec.n
+    top, bottom = list(range(1, n + 1)), list(spec.pi_inverse())
+    lam = dict(zip(top, spec.lengths))
+    matrices, tags, halted = [], [], None
+    for k in range(steps):
+        t, b = top[-1], bottom[-1]
+        if lam[t] == lam[b]:
+            halted = k
+            break
+        tag, win, lose, row = (("a", t, b, bottom) if lam[t] > lam[b]
+                               else ("b", b, t, top))
+        lam[win] = lam[win] - lam[lose]
+        row.pop()
+        row.insert(row.index(win) + 1, lose)
+        total = sum(lam.values())
+        lam = {ell: v / total for ell, v in lam.items()}
+        matrices.append(tuple(
+            tuple(int(r == c or (r, c) == (win - 1, lose - 1))
+                  for c in range(n)) for r in range(n)))
+        tags.append(tag)
+    return (tuple(matrices), tuple(tags),
+            tuple(lam[ell] for ell in range(1, n + 1)), (top, bottom), halted)
+
+
+def _same_exact(got, want):
+    assert got == want and [type(v) for v in got] == [type(v) for v in want]
+
+
+def _exact_induction_specs():
+    a = golden_alpha()
+    specs = [(validate((1 - a, a), (2, 1)), 200)]
+    for d in (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 23):
+        alpha = quad(-math.isqrt(d), 1, d)
+        specs.append((validate((1 - alpha, alpha), (2, 1)), 200))
+    rng = random.Random(21)
+    for k in range(24):
+        n = 3 + k % 3
+        perms = [p for p in itertools.permutations(range(1, n + 1))
+                 if is_irreducible(p)]
+        if k % 2:
+            theta = quad(-1, 1, rng.choice((2, 3, 5, 7)))
+            raw = [rng.randint(1, 9) + rng.randint(0, 9) * theta
+                   for _ in range(n)]
+        else:
+            raw = [Fraction(rng.randint(1, 40)) for _ in range(n)]
+        total = sum(raw[1:], raw[0])
+        specs.append((validate([x / total for x in raw], rng.choice(perms)),
+                      60))
+    return specs
+
+
+def test_exact_induction_matches_per_step_renormalisation():
+    halted = 0
+    for spec, depth in _exact_induction_specs():
+        ms, tags, lengths, _, stop = _renormalising_reference(spec, depth)
+        if stop is None:
+            seq = induce(spec, depth)
+        else:
+            halted += 1
+            with pytest.raises(errors.KeaneViolation) as exc_info:
+                induce(spec, depth)
+            assert exc_info.value.step == stop
+            seq = exc_info.value.partial
+        assert seq.matrices == ms and seq.tags == tags
+        _same_exact(seq.final_lengths, lengths)
+
+        ms, tags, lengths, (top, bottom), stop = _renormalising_reference(
+            spec, 1)
+        if stop is not None:
+            continue
+        new_spec, m, tag = rauzy_step(spec)
+        _same_exact(new_spec.lengths, tuple(lengths[ell - 1] for ell in top))
+        assert new_spec.pi == tuple(bottom.index(ell) + 1 for ell in top)
+        assert tag == tags[0]
+        # column i of the positional matrix is the letter matrix's column
+        # of the letter now in position i
+        assert m == tuple(tuple(row[ell - 1] for ell in top)
+                          for row in ms[0])
+    assert halted >= 5
 
 
 def test_telescope_conserves_product():

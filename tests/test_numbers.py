@@ -1,4 +1,6 @@
 import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -104,3 +106,81 @@ def test_mul_div_roundtrip(a, b, c, d):
             x / y
     else:
         assert (x / y) * y == x
+
+
+def _parts(x, d):
+    """(a, b) of x = a + b*sqrt(d), for an int, Fraction or Quadratic."""
+    return (x.a, x.b) if isinstance(x, Quadratic) else (Fraction(x), 0)
+
+
+def _textbook(op, x, y, d):
+    """x op y from the field parts by the textbook formulas, built by quad."""
+    (a, b), (c, e) = _parts(x, d), _parts(y, d)
+    if op == "+":
+        return quad(a + c, b + e, d)
+    if op == "-":
+        return quad(a - c, b - e, d)
+    if op == "*":
+        return quad(a * c + b * e * d, a * e + b * c, d)
+    norm = c * c - e * e * d          # x / y = x * conj(y) / norm(y)
+    return quad((a * c - b * e * d) / norm, (b * c - a * e) / norm, d)
+
+
+def _assert_canonical(got, want, d):
+    assert got == want and type(got) is type(want)
+    if isinstance(got, Quadratic):
+        assert type(got.a) is Fraction and type(got.b) is Fraction
+        assert got.b != 0 and got.d == d
+        assert (got.a, got.b) == (want.a, want.b)
+    else:
+        assert type(got) is Fraction
+
+
+def test_every_operator_builds_the_canonical_result():
+    rng = random.Random(11)
+
+    def rational():
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+    cancelled = 0
+    for _ in range(400):
+        d = rng.choice((2, 3, 5, 7))
+        x = quad(rational(), rng.choice((1, -1)) * Fraction(
+            rng.randint(1, 5), rng.randint(1, 4)), d)
+        # one operand of each kind; the last cancels x's sqrt(d) part
+        for y in (rng.randint(-6, 6), rational(),
+                  quad(rational(), rational() or 1, d),
+                  quad(rational(), -x.b, d) if rng.random() < 0.5
+                  else quad(0, x.b * rng.randint(1, 3), d)):
+            for sym, op in ops.items():
+                for left, right in ((x, y), (y, x)):   # forward, reflected
+                    if sym == "/" and right == 0:
+                        with pytest.raises(ZeroDivisionError):
+                            op(left, right)
+                        continue
+                    got = op(left, right)
+                    _assert_canonical(got, _textbook(sym, left, right, d), d)
+                    cancelled += isinstance(got, Fraction)
+        _assert_canonical(-x, quad(-x.a, -x.b, d), d)
+        _assert_canonical(abs(x), x if float(x) > 0 else -x, d)
+    assert cancelled > 100
+
+
+def test_opposite_sign_near_ties_compare_exactly():
+    # 3 - 2*sqrt(2) = 0.17..., 7 - 5*sqrt(2) = -0.07...: a*a and b*b*d
+    # differ by one, so only the sign of a*a - b*b*d decides
+    assert quad(3, -2, 2) > 0 and quad(-3, 2, 2) < 0
+    assert quad(7, -5, 2) < 0 and quad(-7, 5, 2) > 0
+    assert quad(0, -2, 2) > -3 and quad(0, 5, 2) > 7
+    assert quad(3, 0, 2) > quad(0, 2, 2) > quad(7, -5, 2) + 2
+    assert abs(quad(7, -5, 2)) == quad(-7, 5, 2)
+
+
+def test_mixed_fields_raise_value_error():
+    x, y = quad(1, 1, 2), quad(1, 1, 3)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+               operator.eq, operator.lt, operator.ge):
+        with pytest.raises(ValueError):
+            op(x, y)
