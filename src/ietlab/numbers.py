@@ -13,10 +13,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Union
-
-Rational = Union[int, Fraction]
-Scalar = Union[int, float, Fraction, "Quadratic"]
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:

@@ -4,11 +4,14 @@ transitivity/covering indices.
 Rays are finite prefixes of itineraries through the interval partition.
 "Admissible" blocks are taken relative to the observed language of the
 analyzed prefix: all indices here are prefix-relative surrogates.
+p(N), phi(N) and theta(N) of one prefix come from one pass, and the last
+(prefix, N) is memoised, so asking for all three codes the prefix once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import PrefixTooShort
@@ -61,62 +64,58 @@ def is_admissible(block: Sequence[int], forbidden: ForbiddenPairs) -> bool:
     return all((a, b) not in forbidden.pairs for a, b in zip(block, block[1:]))
 
 
-def _codes(symbols: Sequence[int], n: int) -> list[int]:
-    """Integer code of every length-n factor, in order of position.
+@lru_cache(maxsize=1)
+def _indices(symbols: tuple[int, ...], n: int) -> tuple[int, int, int]:
+    """p(n), phi(n) and theta(n) from one backward pass over the factors.
 
     The alphabet is ranked first, so the code of a factor is its base-k
     numeral (k the number of distinct symbols) and two factors share a code
-    iff they are equal, whatever ints the symbols are.
+    iff they are equal, whatever ints the symbols are.  Walking the starts
+    from the end, `first` ends with each factor's first start and `nxt[i]`
+    is the next start of the factor at i (m if none).
     """
-    if n < 1 or len(symbols) < n:
+    m = len(symbols) - n + 1
+    if n < 1 or m < 1:
         raise PrefixTooShort(f"need a prefix of length >= {n}")
     rank = {s: i for i, s in enumerate(sorted(set(symbols)))}
     k = len(rank)
     top = k ** (n - 1)
     code = 0
-    for s in symbols[:n - 1]:
-        code = code * k + rank[s]
-    codes = []
-    for s in symbols[n - 1:]:
-        code = code % top * k + rank[s]   # drop the oldest digit, add s
-        codes.append(code)
-    return codes
+    for s in reversed(symbols[m:]):    # seed with the last n - 1 symbols
+        code = code // k + rank[s] * top
+    first, nxt = {}, [m] * m
+    for i in range(m - 1, -1, -1):
+        code = code // k + rank[symbols[i]] * top  # drop a digit, prepend s_i
+        nxt[i] = first.get(code, m)
+        first[code] = i
+    # the shortest window of starts from lo ends at hi(lo), which only
+    # grows: hi(lo + 1) = max(hi(lo), nxt[lo]); the best window of a run
+    # of equal hi is its last
+    hi = best = newest = max(first.values())
+    for lo, j in enumerate(nxt):
+        if j > hi:
+            best = min(best, hi - lo)
+            if j == m:
+                break
+            hi = j
+    return len(first), newest + n, best + n
 
 
 def block_complexity(ray: Ray, n: int) -> int:
     """Number of distinct length-n factors of the prefix, p(n)."""
-    return len(set(_codes(ray.symbols, n)))
+    return _indices(tuple(ray.symbols), n)[0]
 
 
 def transitivity_index(ray: Ray, n: int) -> int:
     """Length of the shortest initial segment containing every observed
-    length-n factor of the prefix."""
-    codes = _codes(ray.symbols, n)
-    # dict keys keep insertion order, so the last key is the factor whose
-    # first occurrence comes last
-    newest = next(reversed(dict.fromkeys(codes)))
-    return codes.index(newest) + n
+    length-n factor of the prefix, phi(n)."""
+    return _indices(tuple(ray.symbols), n)[1]
 
 
 def covering_index(ray: Ray, n: int) -> int:
     """Length of the shortest window anywhere in the prefix containing every
-    observed length-n factor."""
-    codes = _codes(ray.symbols, n)
-    counts = dict.fromkeys(codes, 0)
-    missing = len(counts)
-    best = len(codes)
-    lo = 0
-    for hi, c in enumerate(codes):
-        if counts[c] == 0:
-            missing -= 1
-        counts[c] += 1
-        # shrink from the left while the first factor recurs in the window
-        while counts[codes[lo]] > 1:
-            counts[codes[lo]] -= 1
-            lo += 1
-        if not missing and hi - lo + 1 < best:
-            best = hi - lo + 1
-    return best + n - 1
+    observed length-n factor, theta(n)."""
+    return _indices(tuple(ray.symbols), n)[2]
 
 
 def uniformity_ratio(ray: Ray, n_max: int) -> list[float]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -100,6 +101,86 @@ def test_indices_match_brute_force_definitions():
                     covering_index(ray, n)) == want
             s = block_stats(ray, n)
             assert (s.distinct_blocks, s.transitivity, s.covering) == want
+
+
+def _reference_indices(symbols, n):
+    """p(n), phi(n) and theta(n) by a forward pass over rolling factor codes,
+    the first occurrences in insertion order and a two-pointer window."""
+    rank = {s: i for i, s in enumerate(sorted(set(symbols)))}
+    k, code, codes = len(rank), 0, []
+    for s in symbols[:n - 1]:
+        code = code * k + rank[s]
+    for s in symbols[n - 1:]:
+        code = code % k ** (n - 1) * k + rank[s]
+        codes.append(code)
+    firsts = dict.fromkeys(codes)
+    phi = codes.index(next(reversed(firsts))) + n
+    counts, missing = dict.fromkeys(codes, 0), len(firsts)
+    best, lo = len(codes), 0
+    for hi, c in enumerate(codes):
+        missing -= counts[c] == 0
+        counts[c] += 1
+        while counts[codes[lo]] > 1:
+            counts[codes[lo]] -= 1
+            lo += 1
+        if not missing:
+            best = min(best, hi - lo + 1)
+    return len(firsts), phi, best + n - 1
+
+
+# (pi, lengths) of the float golden rotation and of two self-similar
+# oriented 4-IETs, whose lengths are the Perron eigenvector of the positive
+# product along the closed Rauzy walks bttbttbbbbtbbbtbtbtb and
+# ttbbtttbttbbbbtttbbtbtbt from pi (t: the top letter wins), so the coding
+# of an exchange of d intervals has complexity p(N) = (d - 1)N + 1.
+BENCHMARK_SPECS = [
+    ((2, 1), (1 - float(golden_alpha()), float(golden_alpha()))),
+    ((4, 2, 1, 3), (0.23407586631951982, 0.1926331777317631,
+                    0.35232997002226096, 0.22096098592645608)),
+    ((2, 3, 4, 1), (0.1702202183129707, 0.2650661090062065,
+                    0.13211440039072422, 0.43259927229009865)),
+]
+
+
+@pytest.mark.parametrize("pi, lengths", BENCHMARK_SPECS,
+                         ids=["golden", "4iet-0", "4iet-1"])
+def test_block_stats_at_benchmark_size(pi, lengths):
+    ray = code_orbit(validate(lengths, pi, mode="float"), 0.1, 10 ** 4)
+    for n in range(1, 9):
+        s = block_stats(ray, n)
+        got = (s.distinct_blocks, s.transitivity, s.covering)
+        assert got == _reference_indices(ray.symbols, n)
+        assert s.distinct_blocks == (len(pi) - 1) * n + 1
+
+
+def test_index_memo_never_returns_a_stale_result():
+    rays = [golden_ray(200), Ray((3, 1, 1, 2, 3, 3, 1, 2) * 20 + (2, 2))]
+    cases = [(ray, n) for ray in rays for n in (2, 5)]
+    want = [_reference_indices(ray.symbols, n) for ray, n in cases]
+    assert len(set(want)) == 4
+    for order in itertools.permutations(range(4)):
+        for c in order:
+            s = block_stats(*cases[c])
+            assert (s.distinct_blocks, s.transitivity, s.covering) == want[c]
+    # each index function called on every case after every other case
+    indices = (block_complexity, transitivity_index, covering_index)
+    for seq in itertools.product(range(4), repeat=3):
+        for field, (c, index) in enumerate(zip(seq, indices)):
+            assert index(*cases[c]) == want[c][field]
+
+
+def test_index_memo_takes_list_symbols_and_still_raises():
+    symbols = golden_ray(300).symbols
+    twin = Ray(list(symbols))
+    for n in (1, 4, 4, 7):
+        want = block_stats(Ray(symbols), n)
+        assert block_stats(twin, n) == want
+        assert block_stats(Ray(symbols), n) == want
+    for n in (0, 0, len(symbols) + 1, len(symbols) + 1):
+        for ray in (Ray(symbols), twin):
+            with pytest.raises(errors.PrefixTooShort):
+                block_stats(ray, n)
+            assert block_complexity(ray, 3) == 4
 
 
 def test_index_ordering_on_golden():
