@@ -15,7 +15,9 @@ old-lambda = M * new-lambda holds against the new spec's length vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import intmat
@@ -23,6 +25,7 @@ from .errors import (BadCutPoints, FlipUnsupported, KeaneViolation, Reducible,
                      SequenceTooShort, ZeroLine)
 from .iet import IETSpec, is_irreducible, validate
 from .intmat import IntMatrix
+from .numbers import Quadratic, int_sign, quad
 
 
 @dataclass(frozen=True)
@@ -44,8 +47,26 @@ class StationarityWitness:
     repetitions_verified: int
 
 
+def _integer_pairs(lengths) -> tuple[int, list[tuple[int, int]]]:
+    """(d, pairs) with lengths[k] = (A + B*sqrt(d))/D for pairs[k] = (A, B),
+    ints, and one D, the lcm of every denominator.  d is 1 when every
+    length is rational, so every B is 0."""
+    parts = [(x.a, x.b) if isinstance(x, Quadratic) else (x, Fraction(0))
+             for x in lengths]
+    d = next((x.d for x in lengths if isinstance(x, Quadratic)), 1)
+    den = math.lcm(*(c.denominator for ab in parts for c in ab))
+    return d, [(int(a * den), int(b * den)) for a, b in parts]
+
+
 class _RauzyState:
-    """Two-row induction state over letters 1..n."""
+    """Two-row induction state over letters 1..n.
+
+    Float lengths are floats, scaled to sum 1 after every step, as their
+    rounding depends on the scale.  Exact lengths are int pairs (A, B) for
+    (A + B*sqrt(d))/D, with one D for the whole spec: a step only
+    subtracts, so D never changes and each comparison is one integer sign
+    test.  They are turned back into numbers, scaled to sum 1, only when
+    read."""
 
     def __init__(self, spec: IETSpec):
         if not spec.oriented:
@@ -56,30 +77,37 @@ class _RauzyState:
         self.n = n
         self.top = list(range(1, n + 1))
         self.bottom = list(spec.pi_inverse())
-        self.lengths = {i: spec.lengths[i - 1] for i in self.top}
         self.mode = spec.mode
+        lengths = spec.lengths
+        if self.mode == "exact":
+            self.d, lengths = _integer_pairs(lengths)
+        self.lengths = dict(zip(self.top, lengths))
 
     def step(self) -> tuple[IntMatrix, str]:
         t, b = self.top[-1], self.bottom[-1]
         if t == b:
             raise Reducible("last letters coincide")
         lt, lb = self.lengths[t], self.lengths[b]
-        if lt == lb:
+        if self.mode == "float":
+            sign = (lt > lb) - (lt < lb)
+        else:
+            da, db = lt[0] - lb[0], lt[1] - lb[1]
+            sign = int_sign(da, db, self.d)
+        if sign == 0:
             raise KeaneViolation("competing lengths are equal")
         # the longer of the two last intervals wins; the loser leaves the
         # end of its row and goes in just behind the winner
-        tag, win, lose, row = (("a", t, b, self.bottom) if lt > lb
+        tag, win, lose, row = (("a", t, b, self.bottom) if sign > 0
                                else ("b", b, t, self.top))
-        self.lengths[win] -= self.lengths[lose]
         row.pop()
         row.insert(row.index(win) + 1, lose)
-        if self.mode == "float":   # its rounding depends on the scale
-            self._normalise()
+        if self.mode == "float":
+            self.lengths[win] -= self.lengths[lose]
+            total = sum(self.lengths.values())
+            self.lengths = {k: v / total for k, v in self.lengths.items()}
+        else:
+            self.lengths[win] = (da, db) if sign > 0 else (-da, -db)
         return intmat.elementary(self.n, win - 1, lose - 1), tag
-
-    def _normalise(self):
-        total = sum(self.lengths.values())
-        self.lengths = {k: v / total for k, v in self.lengths.items()}
 
     def to_spec(self) -> IETSpec:
         lengths = self.letter_lengths()
@@ -88,11 +116,14 @@ class _RauzyState:
                         mode=self.mode)
 
     def letter_lengths(self) -> tuple:
-        """Lengths in letter order.  Exact ones are scaled to sum 1 only
-        here, as a positive scale changes no comparison."""
-        if self.mode == "exact":
-            self._normalise()
-        return tuple(self.lengths[ell] for ell in range(1, self.n + 1))
+        """Lengths in letter order, summing to 1."""
+        lengths = [self.lengths[ell] for ell in range(1, self.n + 1)]
+        if self.mode == "float":
+            return tuple(lengths)
+        # D cancels from (A + B*sqrt(d))/D over the sum of all of them
+        values = [quad(a, b, self.d) for a, b in lengths]
+        total = sum(values)
+        return tuple(v / total for v in values)
 
 
 def rauzy_step(spec: IETSpec) -> tuple[IETSpec, IntMatrix, str]:
@@ -138,7 +169,7 @@ def telescope(seq: MatrixSequence, cut_points: Sequence[int]) -> MatrixSequence:
         raise BadCutPoints("cut points must be strictly increasing")
     if cuts and (cuts[0] < 1 or cuts[-1] > len(seq)):
         raise BadCutPoints(f"cut points must lie in 1..{len(seq)}")
-    if not cuts or cuts[-1] < len(seq):
+    if len(seq) > (cuts[-1] if cuts else 0):
         cuts.append(len(seq))
     matrices, tags = [], []
     lo = 0
@@ -194,6 +225,8 @@ def simplicity_check(seq: MatrixSequence, window: int) -> bool:
     positive (primitivity surrogate for simplicity)."""
     if not seq.matrices:
         raise SequenceTooShort("empty sequence")
+    if window < 1:
+        raise SequenceTooShort("window must be >= 1")
     return any(intmat.is_strictly_positive(p) for _, products
                in _window_products(seq, min(window, len(seq)))
                for p in products)

@@ -6,6 +6,7 @@ Matrices are tuples of row tuples of Python ints; sizes here are tiny
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from .errors import ZeroLine
@@ -26,15 +27,28 @@ def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+# id of each matrix built by `elementary` -> (matrix, i, j); the matrix is
+# kept here, so its id is never reused
+_ELEMENTARY: dict[int, tuple[IntMatrix, int, int]] = {}
+
+
+@functools.lru_cache(maxsize=None)
 def elementary(n: int, i: int, j: int) -> IntMatrix:
-    """Identity plus a single 1 at (i, j), 0-based, i != j."""
-    return tuple(tuple((1 if r == c else 0) + (1 if (r, c) == (i, j) else 0)
-                       for c in range(n)) for r in range(n))
+    """Identity plus a single 1 at (i, j), 0-based, i != j.  One matrix per
+    (n, i, j), so that `mat_mul` and `transpose` know it by identity."""
+    m = tuple(tuple((1 if r == c else 0) + (1 if (r, c) == (i, j) else 0)
+                    for c in range(n)) for r in range(n))
+    _ELEMENTARY[id(m)] = (m, i, j)
+    return m
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
+    e = _ELEMENTARY.get(id(b))
+    if e is not None:   # a * (I + E_ij): add column i of a to column j
+        _, i, j = e
+        return tuple([(*row[:j], row[j] + row[i], *row[j + 1:]) for row in a])
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
                  for row in a)
@@ -47,6 +61,9 @@ def mat_vec(a: IntMatrix, v: Sequence) -> tuple:
 
 
 def transpose(a: IntMatrix) -> IntMatrix:
+    e = _ELEMENTARY.get(id(a))
+    if e is not None:
+        return elementary(len(a), e[2], e[1])
     return tuple(zip(*a))
 
 
@@ -68,6 +85,8 @@ def is_zero_one(a: IntMatrix) -> bool:
 
 
 def check_no_zero_line(a: IntMatrix) -> None:
+    if id(a) in _ELEMENTARY:   # I + E_ij has none
+        return
     for i, row in enumerate(a):
         if not any(row):
             raise ZeroLine(f"row {i} is zero")

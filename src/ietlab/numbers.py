@@ -50,13 +50,20 @@ def _field(a: Fraction, b: Fraction, d: int):
     return x
 
 
+def int_sign(p: int, r: int, d: int) -> int:
+    """Sign of p + r*sqrt(d) for ints p, r; for squarefree d > 1, p*p ==
+    r*r*d only at 0, and d is never read when r == 0."""
+    sp, sr = (p > 0) - (p < 0), (r > 0) - (r < 0)
+    if sp * sr >= 0:
+        return sp or sr
+    return sp if p * p > r * r * d else sr   # opposite signs
+
+
 def _sign(a: Fraction, b: Fraction, d: int) -> int:
-    """Sign of a + b*sqrt(d); for squarefree d > 1, a*a == b*b*d only at 0."""
-    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
-    sa, sb = (p > 0) - (p < 0), (r > 0) - (r < 0)
-    if sa * sb >= 0:
-        return sa or sb
-    return sa if (p * s) ** 2 > (r * q) ** 2 * d else sb   # opposite signs
+    """Sign of a + b*sqrt(d), read from its multiple by both (positive)
+    denominators."""
+    return int_sign(a.numerator * b.denominator, b.numerator * a.denominator,
+                    d)
 
 
 def _by_sign(op):

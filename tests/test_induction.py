@@ -162,6 +162,13 @@ def _exact_induction_specs():
         total = sum(raw[1:], raw[0])
         specs.append((validate([x / total for x in raw], rng.choice(perms)),
                       60))
+    # Fraction and Quadratic lengths over coprime denominators 9, 5 and 45
+    x = quad(Fraction(-1, 5), Fraction(1, 5), 2)
+    specs.append((validate((Fraction(2, 9), x, 1 - Fraction(2, 9) - x),
+                           (3, 2, 1)), 200))
+    # rational over 11, 13 and 143: a KeaneViolation at step 19
+    specs.append((validate((Fraction(5, 11), Fraction(2, 13),
+                            Fraction(56, 143)), (3, 2, 1)), 200))
     return specs
 
 
@@ -210,6 +217,13 @@ def test_telescope_keeps_trailing_partial_block():
     assert intmat.product(tel.matrices) == intmat.product(seq.matrices)
 
 
+def test_telescope_of_an_empty_sequence_is_empty():
+    seq = MatrixSequence((), (), (Fraction(1, 2), Fraction(1, 2)))
+    assert telescope(seq, []) == seq
+    with pytest.raises(errors.BadCutPoints):
+        telescope(seq, [1])
+
+
 def test_telescope_rejects_bad_cuts():
     seq = induce(golden_spec(), 8)
     with pytest.raises(errors.BadCutPoints):
@@ -245,6 +259,9 @@ def test_simplicity_check():
     assert simplicity_check(seq, 2)
     # a single elementary matrix is never strictly positive
     assert not simplicity_check(MatrixSequence((F1,), ("b",)), 1)
+    for window in (0, -1):
+        with pytest.raises(errors.SequenceTooShort):
+            simplicity_check(seq, window)
 
 
 def _stationarity_reference(ms, max_block, min_repeats):
@@ -290,6 +307,10 @@ def test_stationarity_and_simplicity_match_brute_force_definitions():
                          w.repetitions_verified)
             assert got == _stationarity_reference(ms, max_block, min_repeats)
         window = rng.randint(0, 8)
+        if window == 0:
+            with pytest.raises(errors.SequenceTooShort):
+                simplicity_check(seq, window)
+            continue
         assert simplicity_check(seq, window) == any(
             intmat.is_strictly_positive(intmat.product(ms[s:s + w]))
             for w in range(1, window + 1) for s in range(len(ms) - w + 1))
