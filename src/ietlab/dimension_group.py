@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
+from operator import mul
 from typing import Optional, Sequence
 
 from . import intmat
@@ -100,17 +101,34 @@ def _period_levels(p: IntMatrix) -> tuple[int, list[int]]:
 
 def cyclic_structure(p: IntMatrix) -> CyclicStructure:
     """Period r = gcd of cycle lengths of the digraph of P, with the vertex
-    classes of the cyclic normal form; r = 1 iff P is primitive."""
-    import numpy as np
-
+    classes of the cyclic normal form; r = 1 iff P is primitive.  The
+    peripheral spectrum of an irreducible P is rho(P) times the r-th roots
+    of unity (Frobenius), so its moduli are r copies of rho(P)."""
     r, level = _period_levels(p)
     classes = tuple(tuple(v + 1 for v in range(len(p)) if level[v] % r == c)
                     for c in range(r))
-    eigs = np.linalg.eigvals(np.array(p, dtype=float))
-    lam = float(np.max(np.abs(eigs)))
-    peripheral = tuple(sorted(float(abs(e)) for e in eigs
-                              if abs(e) >= lam * (1 - 1e-8)))
-    return CyclicStructure(r, classes, peripheral)
+    return CyclicStructure(r, classes, (_spectral_radius(p),) * r)
+
+
+def _spectral_radius(p: IntMatrix) -> float:
+    """rho(P) by bisection between the least and greatest row sums, which
+    bracket it: x > rho(P) exactly when xI - P is a nonsingular M-matrix,
+    that is when elimination without pivoting meets only positive pivots."""
+    lo, hi = float(min(map(sum, p))), float(max(map(sum, p)))
+    while lo < (x := (lo + hi) / 2) < hi:
+        a = [[(x if i == j else 0.0) - v for j, v in enumerate(row)]
+             for i, row in enumerate(p)]
+        for k, pivot in enumerate(a):
+            if pivot[k] <= 0:
+                lo = x
+                break
+            for row in a[k + 1:]:
+                f = row[k] / pivot[k]
+                for j in range(k + 1, len(row)):
+                    row[j] -= f * pivot[j]
+        else:
+            hi = x
+    return hi
 
 
 def is_primitive(p: IntMatrix) -> bool:
@@ -186,12 +204,11 @@ class StateSpaceApprox:
 def _running_products(seq: MatrixSequence, k: int):
     """Yield V_j = M_1^T ... M_j^T for j = 0..k; the columns of V_j span
     the j-th simplex."""
-    n = len(seq.matrices[0]) if seq.matrices else None
     if k > len(seq.matrices):
         raise SequenceTooShort(f"need {k} matrices, have {len(seq.matrices)}")
-    if n is None:
+    if not seq.matrices:
         raise SequenceTooShort("empty sequence")
-    v = intmat.identity(n)
+    v = intmat.identity(len(seq.matrices[0]))
     yield v
     for m in seq.matrices[:k]:
         intmat.check_no_zero_line(m)
@@ -199,55 +216,81 @@ def _running_products(seq: MatrixSequence, k: int):
         yield v
 
 
-def _normalized_columns(v) -> list[tuple]:
-    n = len(v)
-    cols = []
-    for j in range(n):
-        col = tuple(v[i][j] for i in range(n))
-        total = sum(col)
-        if total == 0:
-            raise ZeroLine("zero column in the iterated product")
-        cols.append(tuple(Fraction(c, total) for c in col))
-    return cols
-
-
-def _simplex_columns(seq: MatrixSequence, k: int) -> list[tuple]:
+def _simplex(seq: MatrixSequence, k: int):
     *_, v = _running_products(seq, k)
-    return _normalized_columns(v)
+    return _columns(v)
 
 
-def _l1_diameter(cols) -> Fraction:
-    diam = Fraction(0)
-    for a in range(len(cols)):
-        for b in range(a + 1, len(cols)):
-            d = sum(abs(x - y) for x, y in zip(cols[a], cols[b]))
-            diam = max(diam, d)
-    return diam
+def _columns(v: IntMatrix) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Columns of V and their sums: vertex j is column j over its sum."""
+    cols = list(zip(*v))
+    sums = [sum(c) for c in cols]
+    if 0 in sums:
+        raise ZeroLine("zero column in the iterated product")
+    return cols, sums
 
 
-def _affine_rank(cols, tol: float) -> int:
-    import numpy as np
+def _diameter(cols, sums) -> Fraction:
+    """Exact maximal pairwise L1 distance between the vertices, from
+    |a/A - b/B|_1 = sum |a_i B - b_i A| / (AB): the pairs are compared on
+    integers and only the largest becomes a Fraction."""
+    num, den = 0, 1
+    for (a, sa), (b, sb) in combinations(zip(cols, sums), 2):
+        d = sum(abs(x * sb - y * sa) for x, y in zip(a, b))
+        if d * den > num * sa * sb:
+            num, den = d, sa * sb
+    return Fraction(num, den)
 
-    arr = np.array([[float(x) for x in col] for col in cols], dtype=float).T
-    centered = arr - arr.mean(axis=1, keepdims=True)
-    s = np.linalg.svd(centered, compute_uv=False)
-    return int(np.sum(s > tol))
+
+def _affine_dim(cols, sums, tol: float) -> int:
+    """One more than the singular values above tol of the vertices centred
+    on their mean, at most their number.  Int true division rounds
+    correctly, so x / s is float(Fraction(x, s))."""
+    pts = [[x / s for x in c] for c, s in zip(cols, sums)]
+    mean = [sum(xs) / len(pts) for xs in zip(*pts)]
+    centred = [[x - m for x, m in zip(pt, mean)] for pt in pts]
+    rank = sum(s > tol for s in _singular_values(centred))
+    return min(rank + 1, len(pts))
 
 
-def _state_dim(cols, diameter: Fraction, tol: float) -> int:
-    if diameter < tol:
-        return 1
-    return min(_affine_rank(cols, tol) + 1, len(cols))
+def _singular_values(rows: list[list[float]]) -> list[float]:
+    """One-sided Jacobi (Hestenes, 1958): rotate pairs of rows until every
+    pair has a cosine of at most 1e-15; the row norms are then the singular
+    values, to high relative accuracy (Demmel and Veselic, SIAM J. Matrix
+    Anal. Appl. 13, 1992)."""
+    for _ in range(60):     # sweeps converge quadratically; a safety cap
+        rotated = False
+        for p, q in combinations(range(len(rows)), 2):
+            x, y = rows[p], rows[q]
+            alpha, beta, gamma = (sum(map(mul, x, x)), sum(map(mul, y, y)),
+                                  sum(map(mul, x, y)))
+            if abs(gamma) <= 1e-15 * math.sqrt(alpha) * math.sqrt(beta):
+                continue
+            rotated = True
+            zeta = (beta - alpha) / (2 * gamma)
+            t = math.copysign(1 / (abs(zeta) + math.hypot(1, zeta)), zeta)
+            c = 1 / math.hypot(1, t)
+            s = c * t
+            rows[p] = [c * u - s * v for u, v in zip(x, y)]
+            rows[q] = [s * u + c * v for u, v in zip(x, y)]
+        if not rotated:
+            break
+    return [math.sqrt(sum(map(mul, row, row))) for row in rows]
+
+
+def _state_dim(cols, sums, diameter: Fraction, tol: float) -> int:
+    return 1 if diameter < tol else _affine_dim(cols, sums, tol)
 
 
 def state_simplex(seq: MatrixSequence, k: int,
                   rank_tol: float = 1e-8) -> StateSpaceApprox:
     """Simplex spanned by the normalized images of the dual basis after the
     first k matrices; diameter is the exact maximal pairwise L1 distance."""
-    cols = _simplex_columns(seq, k)
-    diam = _l1_diameter(cols)
-    rank = _affine_rank(cols, rank_tol) + 1
-    return StateSpaceApprox(k, tuple(cols), diam, min(rank, len(cols)))
+    cols, sums = _simplex(seq, k)
+    vertices = tuple(tuple(Fraction(x, s) for x in c)
+                     for c, s in zip(cols, sums))
+    return StateSpaceApprox(k, vertices, _diameter(cols, sums),
+                            _affine_dim(cols, sums, rank_tol))
 
 
 def simplex_diameters(seq: MatrixSequence) -> list[Fraction]:
@@ -255,16 +298,15 @@ def simplex_diameters(seq: MatrixSequence) -> list[Fraction]:
     k = 1..len(seq.matrices), from one pass of running products: entry k-1
     equals state_simplex(seq, k).diameter."""
     products = _running_products(seq, len(seq.matrices))
-    return [_l1_diameter(_normalized_columns(v))
-            for v in islice(products, 1, None)]
+    return [_diameter(*_columns(v)) for v in islice(products, 1, None)]
 
 
 def estimate_state_dim(seq: MatrixSequence, k_max: int,
                        tol: float = 1e-8) -> int:
     """Numeric affine dimension of the column set at depth k_max: the number
     of independent invariant ergodic measures seen by the approximation."""
-    cols = _simplex_columns(seq, min(k_max, len(seq.matrices)))
-    return _state_dim(cols, _l1_diameter(cols), tol)
+    cols, sums = _simplex(seq, min(k_max, len(seq.matrices)))
+    return _state_dim(cols, sums, _diameter(cols, sums), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +354,14 @@ def strict_ergodicity_verdict(spec: IETSpec, induction_depth: int = 40,
     except SequenceTooShort:
         pass
 
-    cols = _simplex_columns(seq, len(seq.matrices))
-    diam = _l1_diameter(cols)
+    cols, sums = _simplex(seq, len(seq.matrices))
+    diam = _diameter(cols, sums)
     if witness is not None and is_primitive(witness.block_product):
         pf = perron_frobenius(witness.block_product, pf_tol)
         cert = ErgodicityCertificate(witness, pf, float(diam))
         return ErgodicityVerdict("StrictlyErgodic", cert, 1, sequence=seq)
 
-    dim = _state_dim(cols, diam, tol)
+    dim = _state_dim(cols, sums, diam, tol)
     cert = ErgodicityCertificate(witness, None, float(diam))
     if dim == 1:
         return ErgodicityVerdict("LikelyErgodic", cert, dim, sequence=seq)

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 from .errors import (DomainError, LengthSumError, ModeMismatch,
                      NonBijectivePermutation, NonPositiveLength)
-from .numbers import Quadratic, is_exact
+from .numbers import Quadratic, as_int, is_exact
 
 FLOAT_SUM_TOL = 1e-12
 KEANE_FLOAT_TOL = 1e-10  # collision tolerance, below drift of 1e4 isometry steps
@@ -54,7 +54,7 @@ def is_irreducible(pi: Sequence[int]) -> bool:
 
 
 def _check_permutation(pi) -> tuple[int, ...]:
-    pi = tuple(int(p) for p in pi)
+    pi = tuple(as_int(p) for p in pi)
     if sorted(pi) != list(range(1, len(pi) + 1)):
         raise NonBijectivePermutation(f"not a permutation of 1..{len(pi)}: {pi}")
     return pi
@@ -112,7 +112,7 @@ def validate(lengths, pi, signs=None, mode: Optional[str] = None) -> IETSpec:
         raise NonBijectivePermutation("permutation size differs from lengths")
     if signs is None:
         signs = (1,) * len(lengths)
-    signs = tuple(int(s) for s in signs)
+    signs = tuple(as_int(s) for s in signs)
     if len(signs) != len(lengths) or any(s not in (1, -1) for s in signs):
         raise NonBijectivePermutation("signs must be +1/-1, one per interval")
 
@@ -162,7 +162,9 @@ def _branches(beta, beta_pi, pi, signs) -> tuple:
 
 def _scalar(spec: IETSpec, x):
     """x in the spec's arithmetic; an exact spec reads a float as the
-    Fraction of its binary value."""
+    Fraction of its binary value.  A non-finite x raises DomainError."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise DomainError(f"point {x!r} is not finite")
     if spec.mode == "float":
         return float(x)
     return Fraction(x) if isinstance(x, float) else x

@@ -211,6 +211,18 @@ def exact_floor(x) -> int:
     return math.floor(x)     # a Quadratic floors through __floor__
 
 
+def as_int(v) -> int:
+    """v as an int, never truncated: 2.5, inf or a list raises ValueError,
+    as does a string that is not an integer literal."""
+    try:
+        n = int(v)
+    except (OverflowError, TypeError):
+        n = None
+    if n is None or not isinstance(v, str) and n != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return n
+
+
 def golden_alpha() -> Quadratic:
     """(sqrt(5) - 1) / 2, the rotation angle of the golden 2-IET."""
     return Quadratic(Fraction(-1, 2), Fraction(1, 2), 5)

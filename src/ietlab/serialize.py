@@ -16,7 +16,7 @@ from typing import Sequence, Union
 from .iet import IETSpec, Orbit, validate
 from .induction import MatrixSequence
 from .intmat import mat
-from .numbers import Quadratic, quad
+from .numbers import Quadratic, as_int, quad
 
 
 def scalar_to_json(x) -> Union[str, float, dict]:
@@ -29,11 +29,19 @@ def scalar_to_json(x) -> Union[str, float, dict]:
 
 
 def scalar_from_json(v):
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, dict):
-        return quad(Fraction(v["a"]), Fraction(v["b"]), int(v["d"]))
-    return float(v)
+    """A "p/q" string, a number, or {"a", "b", "d"} for a + b*sqrt(d); any
+    other form raises ValueError."""
+    try:
+        if isinstance(v, str):
+            return Fraction(v)
+        if isinstance(v, dict):
+            return quad(Fraction(v["a"]), Fraction(v["b"]), as_int(v["d"]))
+        if isinstance(v, (int, float)):
+            return float(v)
+    except (KeyError, TypeError, ZeroDivisionError, OverflowError):
+        pass
+    raise ValueError(f"malformed scalar {v!r}: expected a 'p/q' string, a "
+                     "number or an object with keys a, b and d")
 
 
 def spec_to_dict(spec: IETSpec) -> dict:
@@ -72,7 +80,7 @@ def matrix_to_json(m) -> list:
 
 
 def matrix_from_json(rows) -> tuple:
-    return mat([[int(v) for v in row] for row in rows])
+    return mat([[as_int(v) for v in row] for row in rows])
 
 
 def sequence_to_dict(seq: MatrixSequence) -> dict:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import jsonschema
@@ -198,20 +199,65 @@ def test_exact_spec_with_foreign_lengths_is_a_domain_error(lam, message,
     assert message in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"lambda": ["1/3", "2/3"], "pi": [2.5, 1]}, "2.5 is not an integer"),
+    ({"lambda": ["1/3", "2/3"], "pi": [2, 1], "epsilon": [1.7, -1.2]},
+     "1.7 is not an integer"),
+    ({"lambda": [{"a": "1/2"}, "1/2"], "pi": [2, 1]}, "malformed scalar"),
+    ({"lambda": [{"a": "1/2", "b": "1/2"}, "1/2"], "pi": [2, 1]},
+     "malformed scalar"),
+    ({"lambda": [["1/2"], "1/2"], "pi": [2, 1]}, "malformed scalar"),
+], ids=["pi-non-integral", "epsilon-non-integral", "length-without-b-and-d",
+        "length-without-d", "length-as-list"])
+def test_malformed_spec_is_a_usage_error(spec, message, tmp_path, capsys):
+    # never truncated or run as some other spec
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["eval", "--spec", str(path), "--x", "0.1"]) == 2
+    assert message in _one_line_error(capsys)
+
+
+def test_non_integral_matrix_is_a_usage_error(capsys):
+    assert main(["pf", "--matrix", "[[1.5, 2.7],[1,1]]"]) == 2
+    assert "1.5 is not an integer" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("x", ["inf", "1e400", "nan"])
+def test_non_finite_point_is_a_domain_error(x, golden_path, capsys):
+    assert main(["eval", "--spec", golden_path, "--x", x]) == 1
+    assert "not finite" in _one_line_error(capsys)
+
+
 def test_zero_denominator_point(golden_path, capsys):
     assert main(["eval", "--spec", golden_path, "--x", "1/0"]) == 2
     assert "zero denominator" in _one_line_error(capsys)
 
 
 def test_cli_runs_without_numpy(golden_path, tmp_path):
-    code = (
-        "import sys\n"
-        "from ietlab import cli\n"
-        f"out = {str(tmp_path / 'out.json')!r}\n"
-        "assert cli.main(['pf', '--matrix', '[[2,1],[1,1]]', '--out', out]) == 0\n"
-        f"assert cli.main(['ergodic', '--spec', {golden_path!r}, '--depth', "
-        "'40', '--out', out]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    # with sys.modules["numpy"] = None any import of numpy raises, so every
+    # call below proves its path numpy-free; the float 4-IET's verdict is
+    # Inconclusive with no PF certificate, so it takes the numeric rank
+    code = textwrap.dedent(f"""
+        import sys
+        sys.modules["numpy"] = None
+        from ietlab import cli, dimension_group as dg, induction, iet
+        out, golden = {str(tmp_path / "out.json")!r}, {golden_path!r}
+        for argv in (["pf", "--matrix", "[[2,1],[1,1]]"],
+                     ["ergodic", "--spec", golden, "--depth", "40"],
+                     ["simplex", "--spec", golden, "--depth", "40"],
+                     ["simplex", "--spec", golden, "--depth", "30",
+                      "--k", "3"]):
+            assert cli.main(argv + ["--out", out]) == 0, argv
+        spec = iet.validate((0.1, 0.2, 0.3, 0.4), (4, 3, 2, 1), mode="float")
+        seq = induction.induce(spec, 40)
+        assert dg.state_simplex(seq, 40).numeric_rank == 4
+        assert dg.estimate_state_dim(seq, 40) == 4
+        assert dg.cyclic_structure(((0, 1), (1, 0))).period == 2
+        verdict = dg.strict_ergodicity_verdict(spec, 40)
+        assert verdict.status == "Inconclusive"
+        assert verdict.certificate.pf is None
+        assert verdict.state_dim_estimate == 4
+        """)
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,10 @@ from ietlab.dimension_group import (collatz_wielandt, cyclic_structure,
                                     perron_frobenius, simplex_diameters,
                                     state_simplex,
                                     strict_ergodicity_verdict)
-from ietlab.iet import validate
+from ietlab.iet import is_irreducible, validate
 from ietlab.induction import MatrixSequence, induce
-from ietlab.intmat import mat_mul
-from ietlab.numbers import golden_alpha
+from ietlab.intmat import identity, mat_mul, transpose
+from ietlab.numbers import golden_alpha, quad
 
 FIB2 = ((1, 1), (1, 2))   # golden block product, eigenvalue (3+sqrt(5))/2
 
@@ -51,6 +52,54 @@ def test_cyclic_structure_three_cycle():
     cs = cyclic_structure(p)
     assert cs.period == 3
     assert not is_primitive(p)
+
+
+def _numpy_peripheral_moduli(p):
+    """The moduli of numpy's eigenvalues within 1e-8 of the largest."""
+    np = pytest.importorskip("numpy")
+    eigs = np.linalg.eigvals(np.array(p, dtype=float))
+    lam = float(np.max(np.abs(eigs)))
+    return sorted(float(abs(e)) for e in eigs if abs(e) >= lam * (1 - 1e-8))
+
+
+def _random_irreducible(rng):
+    """An irreducible n x n matrix, n in 2..6, whose edges all go from one
+    of r classes to the next, so its period is a multiple of r."""
+    while True:
+        n, r = rng.randint(2, 6), rng.choice((1, 1, 2, 3))
+        cls = [i % r for i in range(n)]
+        rng.shuffle(cls)
+        p = tuple(tuple(rng.randint(1, 9) if (cls[i] + 1) % r == cls[j] % r
+                        and rng.random() < 0.6 else 0 for j in range(n))
+                  for i in range(n))
+        try:
+            return p, cyclic_structure(p)
+        except errors.NotIrreducible:
+            continue
+
+
+def test_peripheral_moduli_match_numpy_eigenvalues():
+    rng = random.Random(13)
+    cases = [(p, cyclic_structure(p)) for p in
+             (((1000, 1), (1, 1000)), ((1000, 1), (2, 1000)),
+              ((0, 1), (1, 0)), ((0, 1, 0), (0, 0, 1), (1, 0, 0)), ((7,),))]
+    cases += [_random_irreducible(rng) for _ in range(1200)]
+    periods = {cs.period for _, cs in cases}
+    assert {1, 2, 3} <= periods
+    for p, cs in cases:
+        ref = _numpy_peripheral_moduli(p)
+        assert len(cs.peripheral_spectrum_moduli) == len(ref) == cs.period, p
+        for got, want in zip(cs.peripheral_spectrum_moduli, ref):
+            assert abs(got - want) <= 1e-12 * want, (p, got, want)
+
+
+def test_peripheral_moduli_on_a_small_spectral_gap():
+    # power iteration cannot separate 1001 from 999 in reasonable time;
+    # the bisection needs no gap
+    assert cyclic_structure(((1000, 1), (1, 1000))) \
+        .peripheral_spectrum_moduli == (1001.0,)
+    rho = cyclic_structure(((1000, 1), (2, 1000))).peripheral_spectrum_moduli
+    assert rho == (pytest.approx(1000 + math.sqrt(2), rel=1e-15),)
 
 
 def test_cyclic_structure_rejects_disconnected():
@@ -111,6 +160,101 @@ def test_simplex_diameters_match_state_simplex():
     seq = induce(validate((1 - a, a), (2, 1)), 60)
     assert simplex_diameters(seq) == [state_simplex(seq, k).diameter
                                       for k in range(1, 61)]
+
+
+def _normalized_columns(v):
+    """Reference: the columns of V as Fractions over their sums."""
+    cols = []
+    for col in zip(*v):
+        total = sum(col)
+        cols.append(tuple(Fraction(c, total) for c in col))
+    return cols
+
+
+def _l1_diameter(cols):
+    """Reference: the largest pairwise L1 distance, in Fractions."""
+    diam = Fraction(0)
+    for a, b in itertools.combinations(cols, 2):
+        diam = max(diam, sum(abs(x - y) for x, y in zip(a, b)))
+    return diam
+
+
+def _random_iet(rng, n, exact):
+    perms = [p for p in itertools.permutations(range(1, n + 1))
+             if is_irreducible(p)]
+    if exact:   # lengths m + k*sqrt(d) over their sum, connection-free
+        d = rng.choice((2, 3, 5, 7))
+        raw = [quad(rng.randint(1, 9), rng.randint(1, 9), d)
+               for _ in range(n)]
+        total = sum(raw[1:], raw[0])
+        return validate([x / total for x in raw], rng.choice(perms))
+    raw = [rng.random() + 0.05 for _ in range(n)]
+    lam = [v / sum(raw) for v in raw]
+    lam[-1] = 1.0 - sum(lam[:-1])
+    return validate(lam, rng.choice(perms), mode="float")
+
+
+def _induced_sequences(depth):
+    a = golden_alpha()
+    specs = [validate((1 - a, a), (2, 1))]
+    for d in (2, 3, 7, 17):
+        alpha = quad(-math.isqrt(d), 1, d)
+        specs.append(validate((1 - alpha, alpha), (2, 1)))
+    for n in (3, 4, 5):
+        rng = random.Random(f"simplex:{n}")
+        specs += [_random_iet(rng, n, exact) for exact in (False, True)]
+    seqs = []
+    for spec in specs:
+        try:
+            seqs.append(induce(spec, depth))
+        except (errors.KeaneViolation, errors.Reducible) as exc:
+            seqs.append(exc.partial)
+    return seqs
+
+
+def _product(seq, k):
+    v = identity(len(seq.matrices[0]))
+    for m in seq.matrices[:k]:
+        v = mat_mul(v, transpose(m))
+    return v
+
+
+def test_simplex_quantities_match_the_fraction_reference():
+    bd = ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 3, 1), (0, 0, 1, 1))
+    seqs = _induced_sequences(120) + [const_seq(bd, 40), const_seq(FIB2, 40)]
+    for seq in seqs:
+        columns = [_normalized_columns(_product(seq, k))
+                   for k in range(1, len(seq.matrices) + 1)]
+        want = [_l1_diameter(cols) for cols in columns]
+        assert simplex_diameters(seq) == want
+        for k in (1, 7, len(want)):
+            approx = state_simplex(seq, k)
+            assert approx.diameter == want[k - 1]
+            assert list(approx.columns) == columns[k - 1]
+
+
+def _numpy_rank(columns, tol):
+    """Reference: numpy's SVD of the centred columns, as the affine
+    dimension state_simplex reports."""
+    np = pytest.importorskip("numpy")
+    arr = np.array([[float(x) for x in col] for col in columns]).T
+    s = np.linalg.svd(arr - arr.mean(axis=1, keepdims=True), compute_uv=False)
+    return min(int(np.sum(s > tol)) + 1, len(columns))
+
+
+def test_numeric_rank_matches_numpy_svd():
+    ranks = set()
+    for n in (3, 4, 5):
+        rng = random.Random(f"rank:{n}")
+        for _ in range(3):
+            seq = induce(_random_iet(rng, n, exact=False), 120)
+            for k in range(1, 121):
+                for tol in (1e-4, 1e-8, 1e-12):
+                    approx = state_simplex(seq, k, rank_tol=tol)
+                    want = _numpy_rank(approx.columns, tol)
+                    assert approx.numeric_rank == want, (n, k, tol)
+                    ranks.add(want)
+    assert ranks == {1, 2, 3, 4, 5}
 
 
 def test_state_simplex_columns_are_stochastic():

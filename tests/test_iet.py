@@ -111,6 +111,28 @@ def test_interval_index():
         interval_index(spec, Fraction(1))
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_points_are_domain_errors(mode, x):
+    spec = golden_spec(mode)
+    for f in (evaluate, interval_index):
+        with pytest.raises(errors.DomainError):
+            f(spec, x)
+    with pytest.raises(errors.DomainError):
+        orbit(spec, x, 3)
+
+
+def test_validate_refuses_to_truncate_pi_and_signs():
+    half = (Fraction(1, 2), Fraction(1, 2))
+    for pi, signs in [((2.5, 1), None), ((2, 1), (1.7, -1.2)),
+                      ((math.inf, 1), None), (("2", "x"), None)]:
+        with pytest.raises(ValueError):
+            validate(half, pi, signs)
+    # integral values of any type are still read as ints
+    spec = validate(half, (2.0, "1"), (1.0, Fraction(1)))
+    assert spec.pi == (2, 1) and spec.signs == (1, 1)
+
+
 def test_inverse_roundtrip_exact():
     spec = validate((Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)),
                     (3, 1, 2))

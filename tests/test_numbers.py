@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ietlab.numbers import Quadratic, exact_floor, golden_alpha, is_exact, quad
+from ietlab.numbers import (Quadratic, as_int, exact_floor, golden_alpha,
+                            is_exact, quad)
 
 
 def test_quad_collapses_to_fraction():
@@ -74,6 +75,14 @@ def test_exact_floor():
     assert exact_floor(quad(0, -1, 2)) == -2
     assert exact_floor(quad(Fraction(7, 2), Fraction(1, 2), 5)) == 4
     assert exact_floor(Fraction(-7, 2)) == -4
+
+
+def test_as_int_never_truncates():
+    assert [as_int(v) for v in (3, "3", 3.0, Fraction(6, 2), True)] == [
+        3, 3, 3, 3, 1]
+    for v in (2.5, "2.5", Fraction(5, 2), math.inf, math.nan, [1], None):
+        with pytest.raises(ValueError):
+            as_int(v)
 
 
 def test_is_exact():

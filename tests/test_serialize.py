@@ -1,5 +1,8 @@
 import json
+import math
 from fractions import Fraction
+
+import pytest
 
 from ietlab.iet import orbit, validate
 from ietlab.induction import induce
@@ -8,7 +11,8 @@ from ietlab.numbers import Quadratic, golden_alpha
 from ietlab.serialize import (load_matrices, load_spec, matrix_from_json,
                               matrix_to_json, orbit_to_csv, save_spec,
                               sequence_from_dict, sequence_to_dict,
-                              histogram_to_csv, spec_from_dict, spec_to_dict)
+                              histogram_to_csv, scalar_from_json,
+                              spec_from_dict, spec_to_dict)
 
 
 def test_spec_roundtrip_exact(tmp_path):
@@ -44,6 +48,22 @@ def test_matrix_entries_are_decimal_strings():
     rows = matrix_to_json(((big, 1), (0, 1)))
     assert rows[0][0] == str(big)
     assert matrix_from_json(rows) == ((big, 1), (0, 1))
+
+
+@pytest.mark.parametrize("value", [
+    {"a": "1/2"}, {"a": "1/2", "b": "1/2"}, {"b": "1/2", "d": 5},
+    {"a": "1/2", "b": "1/2", "d": 5.5}, {"a": [1], "b": "1/2", "d": 5},
+    {"a": math.inf, "b": 0, "d": 5}, ["1/2"], None, "1/0", "x"])
+def test_malformed_scalars_raise_value_error(value):
+    with pytest.raises(ValueError):
+        scalar_from_json(value)
+
+
+def test_matrix_entries_must_be_integers():
+    assert matrix_from_json([["2", 1], [1.0, 1]]) == ((2, 1), (1, 1))
+    for bad in ([[1.5, 2.7], [1, 1]], [["1.5"]], [[math.inf]]):
+        with pytest.raises(ValueError):
+            matrix_from_json(bad)
 
 
 def test_sequence_roundtrip():
