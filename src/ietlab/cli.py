@@ -188,8 +188,7 @@ def _run_rotation(args):
     for m in seq.matrices:
         if len(m) != 2 or len(m[0]) != 2:
             raise IETLabError("rotation numbers need 2x2 matrices")
-    mats = [rotation.MoebiusMatrix.from_rows(m) for m in seq.matrices]
-    rn = rotation.rotation_number(mats, args.depth)
+    rn = rotation.rotation_number(seq.matrices, args.depth)
     result = {
         "convergents": [_fraction_str(c) for c in rn.convergents],
         "value": rn.value,
@@ -197,7 +196,7 @@ def _run_rotation(args):
         "depth": rn.depth,
     }
     if args.surd:
-        surd = rotation.detect_quadratic_surd(mats)
+        surd = rotation.detect_quadratic_surd(seq.matrices)
         result["surd"] = {
             "coefficients": list(surd.coefficients),
             "root_sign": surd.root_sign,

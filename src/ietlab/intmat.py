@@ -16,7 +16,7 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 def mat(rows: Sequence[Sequence[int]], nonnegative: bool = True) -> IntMatrix:
     m = tuple(tuple(int(v) for v in row) for row in rows)
-    if not m or any(len(row) != len(m[0]) for row in m):
+    if not m or not m[0] or any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged or empty matrix")
     if nonnegative and any(v < 0 for row in m for v in row):
         raise ValueError("negative entry in nonnegative matrix")

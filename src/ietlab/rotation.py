@@ -4,13 +4,25 @@ The fraction evaluated here is
 
     theta = a_1/c_1 - c_1^{-2} / (d_1/c_1 + a_2/c_2 - c_2^{-2} / (...))
 
-for matrices (a_i b_i; c_i d_i) with determinant +-1.  Convergence is an
-empirical outcome: truncations are computed in exact rational arithmetic
-and a Cauchy test decides; non-convergent data is reported, not guessed.
+for matrices (a_i b_i; c_i d_i) with determinant +-1.  Its i-th term
+y -> a_i/c_i - c_i^{-2} / (y + d_i/c_i) is the Moebius map of the integer
+term matrix h_i = (a_i c_i, a_i d_i - 1; c_i^2, c_i d_i), so the fraction
+is the action of the product h_1 h_2 ..., as regular continued fractions
+are read from matrix products: truncation k is q/s for the product
+H_k = h_1 ... h_k = (p q; r s), its image of 0.  Convergence is an
+empirical outcome: truncations are exact rationals and a Cauchy test
+decides; non-convergent data is reported, not guessed.
 
-Periodic data gives quadratic surds, and modular equivalence of two reals
-(an integer Moebius map of determinant +-1 between them) is decided by the
-classical tail criterion for regular continued fractions.
+Periodic data gives quadratic surds.  theta is then the attracting fixed
+point of the period's product (p q; r s), whose determinant prod c_i^2 is
+positive: the root of r x^2 + (s - p) x - q = 0 at which the eigenvalue
+r x + s has the larger modulus, that is (p - s + sign(p + s) sqrt(disc))
+/ 2r.  The primitive form of (r, s - p, -q) is its minimal polynomial, and
+only the root itself is built in quadratic-field arithmetic.
+
+Modular equivalence of two reals (an integer Moebius map of determinant
++-1 between them) is decided by the classical tail criterion for regular
+continued fractions.
 """
 
 from __future__ import annotations
@@ -20,9 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import intmat
 from .errors import (NoRealFixedPoint, PrecisionLoss, RationalFixedPoint,
                      ZeroDenominatorEntry)
-from .numbers import Quadratic, exact_floor, is_exact, quad
+from .intmat import IntMatrix
+from .numbers import Quadratic, as_int, exact_floor, is_exact, quad
 
 
 @dataclass(frozen=True)
@@ -40,7 +54,7 @@ class MoebiusMatrix:
     @classmethod
     def from_rows(cls, rows) -> "MoebiusMatrix":
         (a, b), (c, d) = rows
-        return cls(int(a), int(b), int(c), int(d))
+        return cls(as_int(a), as_int(b), as_int(c), as_int(d))
 
 
 @dataclass(frozen=True)
@@ -58,9 +72,24 @@ class QuadraticSurd:
     approx: float
 
     def root(self):
-        a, b, c = self.coefficients
-        disc = b * b - 4 * a * c
-        return quad(Fraction(-b, 2 * a), Fraction(self.root_sign, 2 * a), disc)
+        return _root(self.coefficients, self.root_sign)
+
+
+def _root(coefficients, root_sign):
+    a, b, c = coefficients
+    disc = b * b - 4 * a * c
+    return quad(Fraction(-b, 2 * a), Fraction(root_sign, 2 * a), disc)
+
+
+def _term_matrices(seq: Sequence) -> list[IntMatrix]:
+    """The integer matrix (ac, ad - 1; c^2, cd) of each term
+    y -> a/c - c^{-2} / (y + d/c) of the fraction."""
+    mats = [m if isinstance(m, MoebiusMatrix) else MoebiusMatrix.from_rows(m)
+            for m in seq]
+    if any(m.c == 0 for m in mats):
+        raise ZeroDenominatorEntry("all c entries must be nonzero")
+    return [((m.a * m.c, m.a * m.d - 1), (m.c * m.c, m.c * m.d))
+            for m in mats]
 
 
 def rotation_number(seq: Sequence[MoebiusMatrix], depth: int = 40,
@@ -70,31 +99,20 @@ def rotation_number(seq: Sequence[MoebiusMatrix], depth: int = 40,
     A sequence shorter than `depth` is extended periodically.  converged is
     set once two successive truncations differ by at most tol.
     """
-    mats = [m if isinstance(m, MoebiusMatrix) else MoebiusMatrix.from_rows(m)
-            for m in seq]
-    if not mats:
+    terms = _term_matrices(seq)
+    if not terms:
         raise ValueError("empty matrix sequence")
-    if any(m.c == 0 for m in mats):
-        raise ZeroDenominatorEntry("all c entries must be nonzero")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    extended = [mats[i % len(mats)] for i in range(depth)]
-    g1 = extended[0]
-    # the outermost term y -> a_1/c_1 - c_1^{-2}/y, composed with one tail
-    # step per depth; each truncation is this map at the innermost tail
-    # d_k/c_k, taken projectively so a zero tail passes through as infinity
-    outer = ((Fraction(g1.a, g1.c), Fraction(-1, g1.c * g1.c)),
-             (Fraction(1), Fraction(0)))
+    product = intmat.identity(2)
     convergents = []
     converged = False
-    for k, g in enumerate(extended):
-        if k:
-            outer = _moebius_compose(outer, _tail_step_map(extended[k - 1], g))
-        (p, q), (r, s) = outer
-        den = r * g.d + s * g.c
-        if den == 0:
+    for k in range(depth):
+        product = intmat.mat_mul(product, terms[k % len(terms)])
+        (_, q), (_, s) = product
+        if s == 0:
             continue   # the truncation divides by a zero tail
-        convergents.append((p * g.d + q * g.c) / den)
+        convergents.append(Fraction(q, s))
         if len(convergents) >= 2 and abs(convergents[-1] - convergents[-2]) <= tol:
             converged = True
             break
@@ -103,80 +121,30 @@ def rotation_number(seq: Sequence[MoebiusMatrix], depth: int = 40,
                           len(convergents))
 
 
-# ---------------------------------------------------------------------------
-# quadratic surds from periodic data
-# ---------------------------------------------------------------------------
-
-def _moebius_compose(m1, m2):
-    """Compose Moebius maps given as ((p, q), (r, s)) acting by
-    y -> (p y + q) / (r y + s), fractions allowed."""
-    (p1, q1), (r1, s1) = m1
-    (p2, q2), (r2, s2) = m2
-    return ((p1 * p2 + q1 * r2, p1 * q2 + q1 * s2),
-            (r1 * p2 + s1 * r2, r1 * q2 + s1 * s2))
-
-
-def _tail_step_map(gj: MoebiusMatrix, gn: MoebiusMatrix):
-    """Moebius map y -> d_j/c_j + a_n/c_n - c_n^{-2}/y."""
-    a = Fraction(gj.d, gj.c) + Fraction(gn.a, gn.c)
-    b = Fraction(-1, gn.c * gn.c)
-    return ((a, b), (Fraction(1), Fraction(0)))
-
-
 def detect_quadratic_surd(block: Sequence[MoebiusMatrix]) -> QuadraticSurd:
-    """Exact quadratic surd of the fraction with a periodic matrix block.
-
-    Solves the fixed-point quadratic of the period's tail map and carries the
-    attracting root through the outermost term in quadratic-field arithmetic.
-    """
-    mats = [m if isinstance(m, MoebiusMatrix) else MoebiusMatrix.from_rows(m)
-            for m in block]
-    if any(m.c == 0 for m in mats):
-        raise ZeroDenominatorEntry("all c entries must be nonzero")
-    period = len(mats)
-    comp = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    for j in range(period):
-        comp = _moebius_compose(comp, _tail_step_map(mats[j],
-                                                     mats[(j + 1) % period]))
-    (p, q), (r, s) = comp
-    # fixed point: r x^2 + (s - p) x - q = 0
-    if r == 0:
+    """Exact quadratic surd of the fraction with a periodic matrix block:
+    the attracting fixed point of the period's product of term matrices."""
+    terms = _term_matrices(block)
+    if terms:
+        (p, q), (r, s) = intmat.product(terms)
+        (a1, _), (c1, _) = terms[0]
+    # the tail behind the first term is the product conjugated by that
+    # term's y -> a_1/c_1 - c_1^{-2}/y, so it is affine (fixes infinity)
+    # exactly when the product fixes a_1/c_1; an empty tail is the identity
+    if not terms or r * a1 * a1 + (s - p) * a1 * c1 - q * c1 * c1 == 0:
         raise NoRealFixedPoint("tail map is affine, no quadratic fixed point")
-    coeff = [r, s - p, -q]
-    den = math.lcm(*(f.denominator for f in coeff))
-    ai, bi, ci = (int(f * den) for f in coeff)
-    disc = bi * bi - 4 * ai * ci
+    disc = (s - p) ** 2 + 4 * r * q
     if disc < 0:
         raise NoRealFixedPoint("negative discriminant")
     if math.isqrt(disc) ** 2 == disc:
         raise RationalFixedPoint("discriminant is a perfect square")
-    roots = [quad(Fraction(-bi, 2 * ai), Fraction(sign, 2 * ai), disc)
-             for sign in (1, -1)]
-    # attracting root: |(d/dy)(py+q)/(ry+s)| = |det|/(ry+s)^2 < 1
-    det = p * s - q * r
-    tail = None
-    for root in roots:
-        denom = r * root + s
-        deriv = abs(det) / (denom * denom)
-        if deriv < 1:
-            tail = root
-            break
-    if tail is None:
-        raise NoRealFixedPoint("no attracting real fixed point")
-    g1 = mats[0]
-    theta = Fraction(g1.a, g1.c) - Fraction(1, g1.c * g1.c) / tail
-    if not isinstance(theta, Quadratic):
-        raise RationalFixedPoint("rotation number degenerates to a rational")
-    # minimal polynomial of theta = u + v sqrt(d)
-    u, v, d = theta.a, theta.b, theta.d
-    poly = [Fraction(1), -2 * u, u * u - v * v * d]
-    den = math.lcm(*(f.denominator for f in poly))
-    coeffs = [int(f * den) for f in poly]
-    g = math.gcd(*coeffs)
-    coeffs = [cf // g for cf in coeffs]
-    if coeffs[0] < 0:
-        coeffs = [-cf for cf in coeffs]
-    return QuadraticSurd(tuple(coeffs), 1 if v > 0 else -1, float(theta))
+    # r != 0 here: r == 0 leaves disc = (s - p)^2; and p + s != 0, as
+    # (p + s)^2 - disc is 4 det > 0
+    g = math.gcd(r, s - p, q) * (1 if r > 0 else -1)
+    coefficients = (r // g, (s - p) // g, -q // g)
+    root_sign = 1 if (p + s > 0) == (r > 0) else -1
+    return QuadraticSurd(coefficients, root_sign,
+                         float(_root(coefficients, root_sign)))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,13 @@ def scalar_from_json(v):
                      "number or an object with keys a, b and d")
 
 
+def _array(value, what: str) -> list:
+    """value, which must be a JSON array."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, not {value!r}")
+    return value
+
+
 def spec_to_dict(spec: IETSpec) -> dict:
     return {
         "lambda": [scalar_to_json(x) for x in spec.lengths],
@@ -59,8 +66,10 @@ def spec_from_dict(data: dict) -> IETSpec:
     for key in ("lambda", "pi"):
         if key not in data:
             raise ValueError(f"spec has no {key!r} entry")
-    lengths = [scalar_from_json(v) for v in data["lambda"]]
-    return validate(lengths, data["pi"], data.get("epsilon"),
+    lengths = [scalar_from_json(v) for v in _array(data["lambda"], "lambda")]
+    signs = data.get("epsilon")
+    return validate(lengths, _array(data["pi"], "pi"),
+                    None if signs is None else _array(signs, "epsilon"),
                     mode=data.get("mode"))
 
 
@@ -80,7 +89,8 @@ def matrix_to_json(m) -> list:
 
 
 def matrix_from_json(rows) -> tuple:
-    return mat([[as_int(v) for v in row] for row in rows])
+    return mat([[as_int(v) for v in _array(row, "a matrix row")]
+                for row in _array(rows, "a matrix")])
 
 
 def sequence_to_dict(seq: MatrixSequence) -> dict:
@@ -94,8 +104,13 @@ def sequence_to_dict(seq: MatrixSequence) -> dict:
 
 
 def sequence_from_dict(data: dict) -> MatrixSequence:
-    matrices = tuple(matrix_from_json(m) for m in data["matrices"])
-    tags = tuple(data.get("tags") or ("?",) * len(matrices))
+    if not isinstance(data, dict) or "matrices" not in data:
+        raise ValueError("a matrix sequence must be a JSON array of "
+                         "matrices or an object with a 'matrices' array")
+    matrices = tuple(matrix_from_json(m)
+                     for m in _array(data["matrices"], "matrices"))
+    tags = tuple(_array(data.get("tags") or [], "tags")
+                 or ("?",) * len(matrices))
     return MatrixSequence(matrices, tags)
 
 

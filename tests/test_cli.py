@@ -207,8 +207,14 @@ def test_exact_spec_with_foreign_lengths_is_a_domain_error(lam, message,
     ({"lambda": [{"a": "1/2", "b": "1/2"}, "1/2"], "pi": [2, 1]},
      "malformed scalar"),
     ({"lambda": [["1/2"], "1/2"], "pi": [2, 1]}, "malformed scalar"),
+    ({"lambda": 5, "pi": [2, 1]}, "lambda must be a JSON array"),
+    ({"lambda": ["1/3", "2/3"], "pi": 5}, "pi must be a JSON array"),
+    ({"lambda": ["1/3", "2/3"], "pi": True}, "pi must be a JSON array"),
+    ({"lambda": ["1/3", "2/3"], "pi": [2, 1], "epsilon": 5},
+     "epsilon must be a JSON array"),
 ], ids=["pi-non-integral", "epsilon-non-integral", "length-without-b-and-d",
-        "length-without-d", "length-as-list"])
+        "length-without-d", "length-as-list", "lambda-scalar", "pi-scalar",
+        "pi-bool", "epsilon-scalar"])
 def test_malformed_spec_is_a_usage_error(spec, message, tmp_path, capsys):
     # never truncated or run as some other spec
     path = tmp_path / "spec.json"
@@ -217,9 +223,35 @@ def test_malformed_spec_is_a_usage_error(spec, message, tmp_path, capsys):
     assert message in _one_line_error(capsys)
 
 
-def test_non_integral_matrix_is_a_usage_error(capsys):
-    assert main(["pf", "--matrix", "[[1.5, 2.7],[1,1]]"]) == 2
-    assert "1.5 is not an integer" in _one_line_error(capsys)
+@pytest.mark.parametrize("matrix, message", [
+    ("[[1.5, 2.7],[1,1]]", "1.5 is not an integer"),
+    ("5", "a matrix must be a JSON array"),
+    ('"[1,2]"', "a matrix must be a JSON array"),
+    ("[1,2]", "a matrix row must be a JSON array"),
+    ("[[]]", "ragged or empty matrix"),
+], ids=["non-integral", "scalar", "string", "flat", "empty-row"])
+def test_non_integral_matrix_is_a_usage_error(matrix, message, capsys):
+    assert main(["pf", "--matrix", matrix]) == 2
+    assert message in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("doc, message", [
+    (5, "a matrix sequence must be"),
+    ("1/2", "a matrix sequence must be"),
+    ({}, "a matrix sequence must be"),
+    ({"matrices": 5}, "matrices must be a JSON array"),
+    ([5], "a matrix must be a JSON array"),
+    ([[1]], "a matrix row must be a JSON array"),
+    ({"matrices": [[[1, 1], [0, 1]]], "tags": 5},
+     "tags must be a JSON array"),
+], ids=["scalar", "string", "no-matrices", "matrices-scalar",
+        "matrix-scalar", "row-scalar", "tags-scalar"])
+def test_malformed_matrices_file_is_a_usage_error(doc, message, tmp_path,
+                                                  capsys):
+    path = tmp_path / "matrices.json"
+    path.write_text(json.dumps(doc))
+    assert main(["rotation", "--matrices", str(path)]) == 2
+    assert message in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("x", ["inf", "1e400", "nan"])

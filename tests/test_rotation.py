@@ -95,6 +95,16 @@ def test_rotation_number_matches_inside_out_reference():
     assert skipped > 0
 
 
+@pytest.mark.parametrize("call, rows", [
+    (rotation_number, [((2.5, 1), (1, 1))]),
+    (detect_quadratic_surd, [((2.9, 1.2), (1, 1))]),
+])
+def test_non_integral_entries_raise_value_error(call, rows):
+    # never truncated and run as [[2, 1], [1, 1]]
+    with pytest.raises(ValueError, match="is not an integer"):
+        call(rows)
+
+
 def test_rotation_number_rejects_zero_c():
     with pytest.raises(errors.ZeroDenominatorEntry):
         rotation_number([((1, 0), (0, 1))])
@@ -117,6 +127,92 @@ def test_quadratic_surd_matches_limit():
     a, b, c = surd.coefficients
     x = surd.root()
     assert a * x * x + b * x + c == 0
+
+
+def _tail_composition_surd(rows):
+    """The surd by the tail map: compose y -> d_j/c_j + a_{j+1}/c_{j+1} -
+    c_{j+1}^-2/y over one period in Fractions, take its attracting fixed
+    point in field arithmetic, carry it through the first term and rebuild
+    the minimal polynomial from the result."""
+    def compose(m1, m2):
+        (p1, q1), (r1, s1) = m1
+        (p2, q2), (r2, s2) = m2
+        return ((p1 * p2 + q1 * r2, p1 * q2 + q1 * s2),
+                (r1 * p2 + s1 * r2, r1 * q2 + s1 * s2))
+
+    mats = [MoebiusMatrix.from_rows(m) for m in rows]
+    if any(m.c == 0 for m in mats):
+        raise errors.ZeroDenominatorEntry("all c entries must be nonzero")
+    comp = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    for j, gj in enumerate(mats):
+        gn = mats[(j + 1) % len(mats)]
+        step = ((Fraction(gj.d, gj.c) + Fraction(gn.a, gn.c),
+                 Fraction(-1, gn.c * gn.c)), (Fraction(1), Fraction(0)))
+        comp = compose(comp, step)
+    (p, q), (r, s) = comp
+    if r == 0:
+        raise errors.NoRealFixedPoint(
+            "tail map is affine, no quadratic fixed point")
+    coeff = [r, s - p, -q]
+    den = math.lcm(*(f.denominator for f in coeff))
+    ai, bi, ci = (int(f * den) for f in coeff)
+    disc = bi * bi - 4 * ai * ci
+    if disc < 0:
+        raise errors.NoRealFixedPoint("negative discriminant")
+    if math.isqrt(disc) ** 2 == disc:
+        raise errors.RationalFixedPoint("discriminant is a perfect square")
+    det = p * s - q * r
+    # attracting: |(d/dy)(py+q)/(ry+s)| = |det|/(ry+s)^2 < 1
+    tail = next(x for x in (quad(Fraction(-bi, 2 * ai), Fraction(sign, 2 * ai),
+                                 disc) for sign in (1, -1))
+                if abs(det) / ((r * x + s) * (r * x + s)) < 1)
+    g1 = mats[0]
+    theta = Fraction(g1.a, g1.c) - Fraction(1, g1.c * g1.c) / tail
+    u, v, d = theta.a, theta.b, theta.d
+    poly = [Fraction(1), -2 * u, u * u - v * v * d]
+    den = math.lcm(*(f.denominator for f in poly))
+    coeffs = [int(f * den) for f in poly]
+    g = math.gcd(*coeffs)
+    return (tuple(cf // g for cf in coeffs), 1 if v > 0 else -1, float(theta))
+
+
+def _outcome(call, rows):
+    try:
+        surd = call(rows)
+    except errors.IETLabError as exc:
+        return type(exc), str(exc)
+    if isinstance(surd, tuple):
+        return surd
+    assert {type(x) for x in surd.coefficients} == {int}
+    assert type(surd.root_sign) is int and type(surd.approx) is float
+    return surd.coefficients, surd.root_sign, surd.approx
+
+
+def test_quadratic_surd_matches_tail_composition_reference():
+    rng = random.Random(23)
+
+    def unimodular(lo, hi):
+        while True:
+            a, b, c, d = (rng.randint(lo, hi) for _ in range(4))
+            if c != 0 and a * d - b * c in (1, -1):
+                return ((a, b), (c, d))
+
+    cases = [[],                                     # empty: no tail at all
+             [((1, 0), (1, 1)), ((3, -2), (-1, 1))],  # affine tail map
+             [((2, -1), (-1, 0))],                   # square discriminant
+             [((2, -1), (3, -1))],                   # negative discriminant
+             [FIB], [((3, 1), (2, 1)), ((1, 1), (1, 2))]]
+    cases += [[unimodular(-6, 6) for _ in range(rng.randint(1, 4))]
+              for _ in range(2000)]
+    assert any(a * d - b * c == -1 and abs(c) > 1
+               for rows in cases for (a, b), (c, d) in rows)
+    kinds = set()
+    for rows in cases:
+        got = _outcome(detect_quadratic_surd, rows)
+        assert got == _outcome(_tail_composition_surd, rows), rows
+        kinds.add(got[0] if isinstance(got[0], type) else "surd")
+    assert kinds == {"surd", errors.NoRealFixedPoint,
+                     errors.RationalFixedPoint}
 
 
 def test_modular_equivalence_exact():
