@@ -184,7 +184,8 @@ def _run_pf(args):
 
 
 def _run_rotation(args):
-    seq = serialize.load_matrices(args.matrices)
+    # continued-fraction matrices may have signed entries
+    seq = serialize.load_matrices(args.matrices, nonnegative=False)
     for m in seq.matrices:
         if len(m) != 2 or len(m[0]) != 2:
             raise IETLabError("rotation numbers need 2x2 matrices")

@@ -13,11 +13,10 @@ the Perron eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import intmat
 from .errors import (FlipUnsupported, KeaneViolation, MaxIterExceeded,
@@ -49,8 +48,7 @@ def collatz_wielandt(p: IntMatrix, x: Sequence):
 # cyclic structure / primitivity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CyclicStructure:
+class CyclicStructure(NamedTuple):
     period: int
     block_permutation: tuple[tuple[int, ...], ...]   # 1-based vertex classes
     peripheral_spectrum_moduli: tuple[float, ...]
@@ -144,8 +142,7 @@ def is_primitive(p: IntMatrix) -> bool:
 # Perron-Frobenius with exact brackets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PFResult:
+class PFResult(NamedTuple):
     eigenvalue: float
     eigenvector: tuple[float, ...]
     lower_cw: Fraction
@@ -193,8 +190,7 @@ def perron_frobenius(p: IntMatrix, tol: float = 1e-12,
 # state-simplex iteration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StateSpaceApprox:
+class StateSpaceApprox(NamedTuple):
     k: int
     columns: tuple[tuple[Fraction, ...], ...]   # L1-normalized, exact
     diameter: Fraction
@@ -313,22 +309,26 @@ def estimate_state_dim(seq: MatrixSequence, k_max: int,
 # verdicts and closed-form counts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ErgodicityCertificate:
+class ErgodicityCertificate(NamedTuple):
     witness: Optional[StationarityWitness]
     pf: Optional[PFResult]
     final_diameter: Optional[float]
 
 
-@dataclass(frozen=True)
-class ErgodicityVerdict:
+class ErgodicityVerdict(NamedTuple):
     status: str          # StrictlyErgodic | LikelyErgodic | Inconclusive
     certificate: Optional[ErgodicityCertificate]
     state_dim_estimate: Optional[int]
     diagnostics: tuple[str, ...] = ()
     # the induced sequence the verdict was drawn from; None when induction
     # failed
-    sequence: Optional[MatrixSequence] = field(default=None, repr=False)
+    sequence: Optional[MatrixSequence] = None
+
+    def __repr__(self):   # the sequence stays out
+        return (f"ErgodicityVerdict(status={self.status!r}, "
+                f"certificate={self.certificate!r}, "
+                f"state_dim_estimate={self.state_dim_estimate!r}, "
+                f"diagnostics={self.diagnostics!r})")
 
 
 def strict_ergodicity_verdict(spec: IETSpec, induction_depth: int = 40,

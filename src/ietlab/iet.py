@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (DomainError, LengthSumError, ModeMismatch,
                      NonBijectivePermutation, NonPositiveLength)
@@ -60,16 +59,19 @@ def _check_permutation(pi) -> tuple[int, ...]:
     return pi
 
 
-@dataclass(frozen=True)
-class IETSpec:
+class IETSpec(NamedTuple):
     lengths: tuple
     pi: tuple[int, ...]
     signs: tuple[int, ...]
     mode: str                      # "exact" | "float"
-    beta: tuple = field(repr=False)
-    beta_pi: tuple = field(repr=False)
-    cuts: tuple = field(repr=False)        # beta_1 .. beta_{n-1}
-    branches: tuple = field(repr=False)    # (sign, shift, left, lo, hi) per v_i
+    beta: tuple
+    beta_pi: tuple
+    cuts: tuple                    # beta_1 .. beta_{n-1}
+    branches: tuple                # (sign, shift, left, lo, hi) per v_i
+
+    def __repr__(self):   # the four fields derived by `validate` stay out
+        return (f"IETSpec(lengths={self.lengths!r}, pi={self.pi!r}, "
+                f"signs={self.signs!r}, mode={self.mode!r})")
 
     @property
     def n(self) -> int:
@@ -195,8 +197,7 @@ def inverse(spec: IETSpec) -> IETSpec:
     return validate(lengths, inv, signs, mode=spec.mode)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     start: object
     points: tuple
     interval_indices: tuple[int, ...]
@@ -277,8 +278,7 @@ class KeaneStatus(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class KeaneVerdict:
+class KeaneVerdict(NamedTuple):
     status: KeaneStatus
     depth: int
     step: Optional[int] = None

@@ -16,9 +16,8 @@ old-lambda = M * new-lambda holds against the new spec's length vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import intmat
 from .errors import (BadCutPoints, FlipUnsupported, KeaneViolation, Reducible,
@@ -28,19 +27,17 @@ from .intmat import IntMatrix
 from .numbers import Quadratic, int_sign, quad
 
 
-@dataclass(frozen=True)
-class MatrixSequence:
+class MatrixSequence(NamedTuple):
     """Ordered multiplicity matrices with per-step Rauzy type tags."""
     matrices: tuple[IntMatrix, ...]
     tags: tuple[str, ...]
     final_lengths: Optional[tuple] = None     # letter order, normalized
 
-    def __len__(self):
+    def __len__(self):   # the number of matrices, not of fields
         return len(self.matrices)
 
 
-@dataclass(frozen=True)
-class StationarityWitness:
+class StationarityWitness(NamedTuple):
     start: int
     block_length: int
     block_product: IntMatrix
@@ -236,18 +233,16 @@ def simplicity_check(seq: MatrixSequence, window: int) -> bool:
 # 0/1 factorization and Bratteli diagrams
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BratteliDiagram:
+class BratteliDiagram(NamedTuple):
     """Explicit 0/1 edge matrices, grouped per input multiplicity matrix."""
     blocks: tuple[tuple[IntMatrix, ...], ...]
-    level_sizes: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self):
-        sizes = [len(self.blocks[0][0])]
-        for block in self.blocks:
-            for f in block:
-                sizes.append(len(f[0]))
-        object.__setattr__(self, "level_sizes", tuple(sizes))
+    @property
+    def level_sizes(self) -> tuple[int, ...]:
+        """Vertices per level: the rows of the first factor, then the
+        columns of every factor."""
+        return (len(self.blocks[0][0]),
+                *(len(f[0]) for block in self.blocks for f in block))
 
     def all_factors(self) -> tuple[IntMatrix, ...]:
         return tuple(f for block in self.blocks for f in block)

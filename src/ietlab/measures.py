@@ -11,8 +11,7 @@ bounds concern minimal transformations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .dimension_group import measure_bounds
 from .errors import DomainError
@@ -23,16 +22,14 @@ DEFAULT_CLUSTER_TOL = 0.05
 _COARSE_BINS = 8
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
+class EmpiricalMeasure(NamedTuple):
     bin_edges: tuple[float, ...]
     masses: tuple[float, ...]
     start: float
     iterates: int
 
 
-@dataclass(frozen=True)
-class MeasureCensus:
+class MeasureCensus(NamedTuple):
     clusters: tuple[tuple[EmpiricalMeasure, int], ...]
     estimated_count: int
     bound: int

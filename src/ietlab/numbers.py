@@ -15,19 +15,40 @@ import operator
 from fractions import Fraction
 
 
+MAX_RADICAND = 10 ** 15   # factored by at most about 5e4 trial divisions
+
+
 def _squarefree_split(d: int) -> tuple[int, int]:
-    """Return (s, d0) with d = s*s*d0 and d0 squarefree."""
-    s, d0, p = 1, d, 2
-    while p * p <= d0:
-        while d0 % (p * p) == 0:
-            d0 //= p * p
-            s *= p
-        p += 1
-    return s, d0
+    """Return (s, d0) with d = s*s*d0 and d0 squarefree, for 0 < d <=
+    MAX_RADICAND.
+
+    Trial division takes out every p with p**3 <= rest, the part of d not
+    yet factored.  The rest left then has no prime factor below p and is
+    less than p**3, so it is 1, a prime, a product of two primes or the
+    square of a prime, and only the last is a square."""
+    if d > MAX_RADICAND:
+        raise ValueError(f"radicand {d} exceeds {MAX_RADICAND}")
+    s, d0, rest, p = 1, 1, d, 2
+    while p * p * p <= rest:
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            s *= p ** (e // 2)
+            if e % 2:
+                d0 *= p
+        p += 1 if p == 2 else 2
+    r = math.isqrt(rest)
+    if r > 1 and r * r == rest:
+        return s * r, d0
+    return s, d0 * rest
 
 
 def quad(a, b, d: int):
-    """Build a + b*sqrt(d), collapsing to Fraction when the result is rational."""
+    """Build a + b*sqrt(d), collapsing to Fraction when the result is
+    rational.  With b != 0, a radicand d <= 0 or above MAX_RADICAND raises
+    ValueError."""
     a, b = Fraction(a), Fraction(b)
     if b == 0:
         return a

@@ -28,9 +28,8 @@ continued fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import intmat
 from .errors import (NoRealFixedPoint, PrecisionLoss, RationalFixedPoint,
@@ -39,17 +38,26 @@ from .intmat import IntMatrix
 from .numbers import Quadratic, as_int, exact_floor, is_exact, quad
 
 
-@dataclass(frozen=True)
-class MoebiusMatrix:
+class _MoebiusEntries(NamedTuple):
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
+
+class MoebiusMatrix(_MoebiusEntries):
+    """The matrix (a b; c d), of determinant +-1."""
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        det = a * d - b * c
         if det not in (1, -1):
             raise ValueError(f"determinant {det}, expected +-1")
+        return super().__new__(cls, a, b, c, d)
+
+    @classmethod
+    def _make(cls, iterable):   # `_replace` builds through here: check it too
+        return cls(*iterable)
 
     @classmethod
     def from_rows(cls, rows) -> "MoebiusMatrix":
@@ -57,16 +65,14 @@ class MoebiusMatrix:
         return cls(as_int(a), as_int(b), as_int(c), as_int(d))
 
 
-@dataclass(frozen=True)
-class RotationNumber:
+class RotationNumber(NamedTuple):
     convergents: tuple[Fraction, ...]
     value: float
     converged: bool
     depth: int
 
 
-@dataclass(frozen=True)
-class QuadraticSurd:
+class QuadraticSurd(NamedTuple):
     coefficients: tuple[int, int, int]   # A x^2 + B x + C = 0, A > 0, gcd 1
     root_sign: int                       # which real root: +1 upper, -1 lower
     approx: float

@@ -88,9 +88,9 @@ def matrix_to_json(m) -> list:
     return [[str(v) for v in row] for row in m]
 
 
-def matrix_from_json(rows) -> tuple:
+def matrix_from_json(rows, nonnegative: bool = True) -> tuple:
     return mat([[as_int(v) for v in _array(row, "a matrix row")]
-                for row in _array(rows, "a matrix")])
+                for row in _array(rows, "a matrix")], nonnegative)
 
 
 def sequence_to_dict(seq: MatrixSequence) -> dict:
@@ -103,23 +103,26 @@ def sequence_to_dict(seq: MatrixSequence) -> dict:
     return out
 
 
-def sequence_from_dict(data: dict) -> MatrixSequence:
+def sequence_from_dict(data: dict,
+                       nonnegative: bool = True) -> MatrixSequence:
     if not isinstance(data, dict) or "matrices" not in data:
         raise ValueError("a matrix sequence must be a JSON array of "
                          "matrices or an object with a 'matrices' array")
-    matrices = tuple(matrix_from_json(m)
+    matrices = tuple(matrix_from_json(m, nonnegative)
                      for m in _array(data["matrices"], "matrices"))
     tags = tuple(_array(data.get("tags") or [], "tags")
                  or ("?",) * len(matrices))
     return MatrixSequence(matrices, tags)
 
 
-def load_matrices(path: str) -> MatrixSequence:
+def load_matrices(path: str, nonnegative: bool = True) -> MatrixSequence:
+    """A matrix sequence file; signed entries are refused unless
+    `nonnegative` is False."""
     with open(path) as fh:
         data = json.load(fh)
     if isinstance(data, list):       # bare array of matrices
         data = {"matrices": data}
-    return sequence_from_dict(data)
+    return sequence_from_dict(data, nonnegative)
 
 
 def orbit_to_csv(orb: Orbit) -> str:

@@ -10,29 +10,25 @@ p(N), phi(N) and theta(N) of one prefix come from one pass, and the last
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import PrefixTooShort
 from .iet import IETSpec, orbit
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(NamedTuple):
     symbols: tuple[int, ...]
 
-    def __len__(self):
+    def __len__(self):   # the number of symbols
         return len(self.symbols)
 
 
-@dataclass(frozen=True)
-class ForbiddenPairs:
+class ForbiddenPairs(NamedTuple):
     pairs: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class BlockStats:
+class BlockStats(NamedTuple):
     N: int
     distinct_blocks: int
     transitivity: int

@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from ietlab import rotation
 from ietlab.cli import main
 
 SCHEMA = json.loads(
@@ -105,6 +106,43 @@ def test_rotation(fib_path, tmp_path):
     doc, _ = run_json(["rotation", "--matrices", fib_path, "--surd"], tmp_path)
     assert doc["result"]["surd"]["coefficients"] == [1, -1, -1]
     assert abs(doc["result"]["value"] - (1 + math.sqrt(5)) / 2) < 1e-9
+
+
+@pytest.mark.parametrize("rows, surd_error", [
+    ([[[2, -1], [3, -1]]], "negative discriminant"),
+    ([[[1, 0], [1, 1]], [[3, -2], [-1, 1]]], "tail map is affine"),
+], ids=["signed", "affine-tail"])
+def test_rotation_reads_signed_matrices(rows, surd_error, tmp_path, capsys):
+    path = tmp_path / "signed.json"
+    path.write_text(json.dumps(rows))
+    doc, _ = run_json(["rotation", "--matrices", str(path)], tmp_path)
+    rn = rotation.rotation_number(rows)
+    assert doc["result"]["convergents"] == [
+        f"{c.numerator}/{c.denominator}" for c in rn.convergents]
+    assert (doc["result"]["value"], doc["result"]["depth"]) == (rn.value,
+                                                                rn.depth)
+    # neither block has a real quadratic fixed point: a domain error
+    assert main(["rotation", "--matrices", str(path), "--surd"]) == 1
+    assert surd_error in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("subcommand", ["pf", "simplex"])
+def test_signed_matrices_are_refused_outside_rotation(subcommand, tmp_path,
+                                                      capsys):
+    path = tmp_path / "signed.json"
+    path.write_text("[[[2, -1], [1, 1]]]")
+    argv = (["pf", "--matrix", "[[2, -1], [1, 1]]"] if subcommand == "pf"
+            else ["simplex", "--matrices", str(path)])
+    assert main(argv) == 2
+    assert "negative entry" in _one_line_error(capsys)
+
+
+def test_radicand_above_the_limit_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    big = {"a": "0", "b": "1/2", "d": 10 ** 20 + 1}
+    path.write_text(json.dumps({"lambda": [big, big], "pi": [2, 1]}))
+    assert main(["eval", "--spec", str(path), "--x", "0.1"]) == 2
+    assert "exceeds" in _one_line_error(capsys)
 
 
 def test_measures_replayable(golden_path, tmp_path):

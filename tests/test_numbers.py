@@ -1,13 +1,14 @@
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ietlab.numbers import (Quadratic, as_int, exact_floor, golden_alpha,
-                            is_exact, quad)
+from ietlab.numbers import (MAX_RADICAND, Quadratic, _squarefree_split,
+                            as_int, exact_floor, golden_alpha, is_exact, quad)
 
 
 def test_quad_collapses_to_fraction():
@@ -193,3 +194,46 @@ def test_mixed_fields_raise_value_error():
                operator.eq, operator.lt, operator.ge):
         with pytest.raises(ValueError):
             op(x, y)
+
+
+def _squarefree_split_by_squares(d):
+    """The former split: trial division by every p*p <= d."""
+    s, d0, p = 1, d, 2
+    while p * p <= d0:
+        while d0 % (p * p) == 0:
+            d0 //= p * p
+            s *= p
+        p += 1
+    return s, d0
+
+
+def test_squarefree_split_matches_trial_division_by_squares():
+    for d in range(1, 10 ** 5 + 1):
+        assert _squarefree_split(d) == _squarefree_split_by_squares(d), d
+    rng = random.Random(29)
+    for _ in range(10):
+        d = rng.randint(10 ** 5, 10 ** 12)
+        assert _squarefree_split(d) == _squarefree_split_by_squares(d), d
+
+
+@pytest.mark.parametrize("d, split", [
+    (999999999999989, (1, 999999999999989)),            # a prime
+    (31622743 * 31622777, (1, 31622743 * 31622777)),    # two primes > cbrt
+    (31622743 ** 2, (31622743, 1)),                     # a prime squared
+    (2 ** 3 * 3 ** 2 * 9973 ** 2 * 10007, (2 * 3 * 9973, 2 * 10007)),
+    (3 ** 2 * 5 * 100003 ** 2, (3 * 100003, 5)),       # square cofactor
+    (2 ** 49, (2 ** 24, 2)),
+    (MAX_RADICAND, (10 ** 7, 10)),
+])
+def test_squarefree_split_of_large_radicands(d, split):
+    start = time.perf_counter()
+    assert _squarefree_split(d) == split
+    assert time.perf_counter() - start < 0.5
+
+
+def test_radicand_above_the_limit_is_refused():
+    with pytest.raises(ValueError, match="exceeds"):
+        quad(0, 1, MAX_RADICAND + 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        quad(0, 1, 10 ** 40)
+    assert quad(1, 0, 10 ** 40) == 1     # b == 0 never reads d

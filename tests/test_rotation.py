@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from ietlab import errors
 from ietlab.numbers import golden_alpha, quad
-from ietlab.rotation import (MoebiusMatrix, detect_quadratic_surd,
-                             modular_equivalent, rotation_number)
+from ietlab.rotation import (MoebiusMatrix, QuadraticSurd,
+                             detect_quadratic_surd, modular_equivalent,
+                             rotation_number)
 
 FIB = ((2, 1), (1, 1))
 PHI = quad(Fraction(1, 2), Fraction(1, 2), 5)
@@ -181,7 +182,7 @@ def _outcome(call, rows):
         surd = call(rows)
     except errors.IETLabError as exc:
         return type(exc), str(exc)
-    if isinstance(surd, tuple):
+    if not isinstance(surd, QuadraticSurd):   # the reference's plain tuple
         return surd
     assert {type(x) for x in surd.coefficients} == {int}
     assert type(surd.root_sign) is int and type(surd.approx) is float
