@@ -20,10 +20,6 @@ from . import induction, iet, measures, rotation, serialize, symbolic
 from .errors import IETLabError
 
 
-def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _point(text: str):
     """Parse --x values: 'p/q' stays exact, otherwise float."""
     if "/" in text:
@@ -32,6 +28,18 @@ def _point(text: str):
         except ZeroDivisionError:
             raise ValueError(f"--x {text}: zero denominator") from None
     return float(text)
+
+
+def _int(text: str) -> int:
+    """An int no larger than sys.maxsize, the longest list there can be:
+    no count, depth or n beyond it could finish."""
+    value = int(text)
+    if value > sys.maxsize:
+        raise argparse.ArgumentTypeError(f"{text!r} is too large")
+    return value
+
+
+_int.__name__ = "int"   # argparse names the type in its messages
 
 
 def _positive(kind):
@@ -47,24 +55,21 @@ def _positive(kind):
     return parse
 
 
-_POS_INT = _positive(int)
+_POS_INT = _positive(_int)
 _POS_FLOAT = _positive(float)
 
 
 def _count(text: str) -> int:
     """argparse type: an int of at least zero."""
-    value = int(text)
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is negative")
     return value
 
 
-def _matrix_arg(text: str):
-    return serialize.matrix_from_json(json.loads(text))
-
-
 # ---------------------------------------------------------------------------
-# result builders, one per subcommand
+# result builders, one per subcommand: each returns the result and a thunk
+# that writes it as CSV, or None where it has no CSV form
 # ---------------------------------------------------------------------------
 
 def _run_eval(args):
@@ -84,21 +89,20 @@ def _run_orbit(args):
         "start": float(orb.start),
         "points": [float(p) for p in orb.points],
         "interval_indices": list(orb.interval_indices),
-    }, orb
+    }, lambda: serialize.orbit_to_csv(orb)
 
 
 def _run_code(args):
     spec = serialize.load_spec(args.spec)
     ray = symbolic.code_orbit(spec, _point(args.x), args.steps)
     result = {"symbols": list(ray.symbols)}
-    stats = None
-    if args.stats_n:
-        stats = [symbolic.block_stats(ray, n)
-                 for n in range(1, args.stats_n + 1)]
-        result["block_stats"] = [
-            {"N": s.N, "p": s.distinct_blocks, "phi": s.transitivity,
-             "theta": s.covering} for s in stats]
-    return result, stats
+    if not args.stats_n:
+        return result, None
+    stats = [symbolic.block_stats(ray, n) for n in range(1, args.stats_n + 1)]
+    result["block_stats"] = [
+        {"N": s.N, "p": s.distinct_blocks, "phi": s.transitivity,
+         "theta": s.covering} for s in stats]
+    return result, lambda: serialize.block_stats_to_csv(stats)
 
 
 def _run_induce(args):
@@ -127,8 +131,8 @@ def _pf_to_dict(res):
     return {
         "eigenvalue": res.eigenvalue,
         "eigenvector": list(res.eigenvector),
-        "lower": _fraction_str(res.lower_cw),
-        "upper": _fraction_str(res.upper_cw),
+        "lower": serialize.scalar_to_json(res.lower_cw),
+        "upper": serialize.scalar_to_json(res.upper_cw),
         "iterations": res.iterations,
     }
 
@@ -170,15 +174,16 @@ def _run_simplex(args):
     approx = dg.state_simplex(seq, k)
     return {
         "k": approx.k,
-        "columns": [[_fraction_str(x) for x in col] for col in approx.columns],
-        "diameter": _fraction_str(approx.diameter),
+        "columns": [[serialize.scalar_to_json(x) for x in col]
+                    for col in approx.columns],
+        "diameter": serialize.scalar_to_json(approx.diameter),
         "diameter_float": float(approx.diameter),
         "numeric_rank": approx.numeric_rank,
     }, None
 
 
 def _run_pf(args):
-    m = _matrix_arg(args.matrix)
+    m = serialize.matrix_from_json(json.loads(args.matrix))
     res = dg.perron_frobenius(m, args.tol)
     return {**_pf_to_dict(res), "residual": res.residual}, None
 
@@ -191,7 +196,7 @@ def _run_rotation(args):
             raise IETLabError("rotation numbers need 2x2 matrices")
     rn = rotation.rotation_number(seq.matrices, args.depth)
     result = {
-        "convergents": [_fraction_str(c) for c in rn.convergents],
+        "convergents": [serialize.scalar_to_json(c) for c in rn.convergents],
         "value": rn.value,
         "converged": rn.converged,
         "depth": rn.depth,
@@ -225,7 +230,8 @@ def _run_measures(args):
                  "bin_edges": list(m.bin_edges),
                  "masses": list(m.masses),
              }} for m, count in census.clusters],
-    }, census
+    }, lambda: "".join(serialize.histogram_to_csv(m)
+                       for m, _ in census.clusters)
 
 
 def _run_bounds(args):
@@ -334,31 +340,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="ergodic-measure count bound")
     common(p, _run_bounds, spec=False)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--oriented", dest="flips", action="store_false")
     g.add_argument("--flips", dest="flips", action="store_true")
 
     p = sub.add_parser("kgroups", help="K-group free ranks")
     common(p, _run_kgroups, spec=False)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
 
     p = sub.add_parser("surface", help="compatible surface parameters")
     common(p, _run_surface, spec=False)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
 
     return parser
-
-
-def _csv_payload(args, extra) -> str:
-    if args.subcommand == "orbit":
-        return serialize.orbit_to_csv(extra)
-    if args.subcommand == "code" and extra is not None:
-        return serialize.block_stats_to_csv(extra)
-    if args.subcommand == "measures":
-        return "".join(serialize.histogram_to_csv(m)
-                       for m, _ in extra.clusters)
-    raise IETLabError(f"no CSV form for subcommand {args.subcommand!r}")
 
 
 def _text_payload(doc: dict) -> str:
@@ -391,7 +386,7 @@ def main(argv=None) -> int:
               if k not in ("out",) and not callable(v)}
 
     try:
-        result, extra = args.run(args)
+        result, to_csv = args.run(args)
     except IETLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
@@ -403,11 +398,11 @@ def main(argv=None) -> int:
     if args.format == "json":
         payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
-        try:
-            payload = _csv_payload(args, extra)
-        except IETLabError as exc:
-            sys.stderr.write(f"usage error: {exc}\n")
+        if to_csv is None:
+            sys.stderr.write("usage error: no CSV form for subcommand "
+                             f"{args.subcommand!r}\n")
             return 2
+        payload = to_csv()
     else:
         payload = _text_payload(doc)
     _write(args, payload)

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import intmat
 from .errors import (FlipUnsupported, KeaneViolation, MaxIterExceeded,
-                     NotIrreducible, NotPrimitive, Reducible,
+                     NotIrreducible, NotPrimitive, PrecisionLoss, Reducible,
                      SequenceTooShort, ZeroLine, ZeroVector)
 from .iet import IETSpec
 from .induction import (MatrixSequence, StationarityWitness,
@@ -54,32 +54,14 @@ class CyclicStructure(NamedTuple):
     peripheral_spectrum_moduli: tuple[float, ...]
 
 
-def _strongly_connected(p: IntMatrix) -> bool:
-    n = len(p)
-
-    def reach(transposed):
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in range(n):
-                edge = p[v][u] if transposed else p[u][v]
-                if edge and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-    return len(reach(False)) == n and len(reach(True)) == n
-
-
 def _period_levels(p: IntMatrix) -> tuple[int, list[int]]:
     """Period of the digraph of P and the BFS levels from vertex 0.
 
-    The period is the gcd over edges u -> v of level[u] + 1 - level[v].  A
-    digraph with no cycle (the 1x1 zero matrix) has no period and raises."""
+    P is irreducible when the BFS reaches every vertex and every vertex
+    reaches 0 back.  The period is the gcd over edges u -> v of level[u] +
+    1 - level[v].  A digraph with no cycle (the 1x1 zero matrix) has no
+    period and raises."""
     n = len(p)
-    if not _strongly_connected(p):
-        raise NotIrreducible("digraph of P is not strongly connected")
     level = [0] + [None] * (n - 1)
     queue = [0]
     for u in queue:
@@ -87,6 +69,11 @@ def _period_levels(p: IntMatrix) -> tuple[int, list[int]]:
             if p[u][v] and level[v] is None:
                 level[v] = level[u] + 1
                 queue.append(v)
+    back = [0]      # the vertices that reach 0, found along reversed edges
+    for v in back:
+        back += [u for u in range(n) if p[u][v] and u not in back]
+    if len(queue) < n or len(back) < n:
+        raise NotIrreducible("digraph of P is not strongly connected")
     r = 0
     for u in range(n):
         for v in range(n):
@@ -174,10 +161,17 @@ def perron_frobenius(p: IntMatrix, tol: float = 1e-12,
         lower, upper = min(ratios), max(ratios)
         history.append((lower, upper))
         if upper - lower <= tol_f:
+            # x outgrows the floats after many steps: shift it into range
+            # (no shift below 2**1000 leaves those vectors as they were)
             total = sum(x)
-            vec = tuple(v / total for v in map(float, x))
-            lam = float((lower + upper) / 2)
-            pv = intmat.mat_vec(p, vec)
+            shift = max(total.bit_length() - 1000, 0)
+            vec = tuple(float(v >> shift) / (total >> shift) for v in x)
+            try:
+                lam = float((lower + upper) / 2)
+                pv = intmat.mat_vec(p, vec)
+            except OverflowError:
+                raise PrecisionLoss("Perron root or entry of P beyond the "
+                                    "float range") from None
             residual = float(sum(abs(a - lam * b) for a, b in zip(pv, vec)))
             return PFResult(lam, vec, lower, upper, it, residual,
                             tuple(history))

@@ -82,5 +82,6 @@ class RationalFixedPoint(IETLabError):
 
 
 class PrecisionLoss(IETLabError):
-    """A continued-fraction partial quotient cannot be trusted at the
-    requested depth."""
+    """A float cannot carry the answer: a continued-fraction partial
+    quotient cannot be trusted at the requested depth, or a value lies
+    beyond the float range."""

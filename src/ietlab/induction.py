@@ -127,12 +127,10 @@ def rauzy_step(spec: IETSpec) -> tuple[IETSpec, IntMatrix, str]:
     """One induction step: induced spec, positional matrix, type tag."""
     state = _RauzyState(spec)
     m_letter, tag = state.step()
-    new_spec = state.to_spec()
-    # relabeling matrix: letter vector = R * positional vector of the new spec
-    n = spec.n
-    relabel = tuple(tuple(1 if state.top[i] == ell + 1 else 0 for i in range(n))
-                    for ell in range(n))
-    return new_spec, intmat.mat_mul(m_letter, relabel), tag
+    # the new spec lists its lengths in top order, so its columns are too
+    positional = tuple(tuple(row[ell - 1] for ell in state.top)
+                       for row in m_letter)
+    return state.to_spec(), positional, tag
 
 
 def induce(spec: IETSpec, steps: int) -> MatrixSequence:
@@ -270,9 +268,7 @@ def _peel_elementary(m: IntMatrix) -> tuple[list[IntMatrix], IntMatrix]:
     n = len(m)
     rows = [list(r) for r in m]
     factors: list[IntMatrix] = []
-    while True:
-        if all(v in (0, 1) for r in rows for v in r):
-            break
+    while not intmat.is_zero_one(rows):
         best = None
         for i in range(n):
             for j in range(n):

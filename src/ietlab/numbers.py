@@ -98,16 +98,25 @@ def _by_sign(op):
 class Quadratic:
     """Number a + b*sqrt(d) in the real quadratic field Q(sqrt(d)).
 
-    Instances are created with squarefree d and b != 0; use :func:`quad`
-    as the general constructor.
+    The constructor takes the canonical form alone, b != 0 and d squarefree
+    in 2..MAX_RADICAND, and raises ValueError on any other; :func:`quad` is
+    the general constructor.
     """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: Fraction, b: Fraction, d: int):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "d", int(d))
+        a, b, d = Fraction(a), Fraction(b), as_int(d)
+        if not b:
+            raise ValueError("b == 0: a rational is a Fraction")
+        if d < 2 or _squarefree_split(d)[0] != 1:
+            raise ValueError(f"radicand {d} is not a squarefree int above 1")
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
+
+    def __reduce__(self):   # copy and pickle past the immutability guard
+        return _field, (self.a, self.b, self.d)
 
     def __setattr__(self, *args):
         raise AttributeError("Quadratic is immutable")
@@ -218,7 +227,7 @@ class Quadratic:
         return f"({self.a} + {self.b}*sqrt({self.d}))"
 
 
-# slot setters past the immutability guard, for _field alone
+# slot setters past the immutability guard, for _field and the constructor
 _set_a, _set_b, _set_d = (s.__set__ for s in (Quadratic.a, Quadratic.b,
                                               Quadratic.d))
 

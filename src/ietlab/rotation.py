@@ -87,6 +87,14 @@ def _root(coefficients, root_sign):
     return quad(Fraction(-b, 2 * a), Fraction(root_sign, 2 * a), disc)
 
 
+def _float(x, what: str) -> float:
+    """float(x), refused beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise PrecisionLoss(f"{what} beyond the float range") from None
+
+
 def _term_matrices(seq: Sequence) -> list[IntMatrix]:
     """The integer matrix (ac, ad - 1; c^2, cd) of each term
     y -> a/c - c^{-2} / (y + d/c) of the fraction."""
@@ -122,7 +130,8 @@ def rotation_number(seq: Sequence[MoebiusMatrix], depth: int = 40,
         if len(convergents) >= 2 and abs(convergents[-1] - convergents[-2]) <= tol:
             converged = True
             break
-    value = float(convergents[-1]) if convergents else math.nan
+    value = (_float(convergents[-1], "rotation number") if convergents
+             else math.nan)
     return RotationNumber(tuple(convergents), value, converged,
                           len(convergents))
 
@@ -150,7 +159,8 @@ def detect_quadratic_surd(block: Sequence[MoebiusMatrix]) -> QuadraticSurd:
     coefficients = (r // g, (s - p) // g, -q // g)
     root_sign = 1 if (p + s > 0) == (r > 0) else -1
     return QuadraticSurd(coefficients, root_sign,
-                         float(_root(coefficients, root_sign)))
+                         _float(_root(coefficients, root_sign),
+                                "quadratic surd"))
 
 
 # ---------------------------------------------------------------------------

@@ -125,31 +125,27 @@ def load_matrices(path: str, nonnegative: bool = True) -> MatrixSequence:
     return sequence_from_dict(data, nonnegative)
 
 
-def orbit_to_csv(orb: Orbit) -> str:
+def _csv(header: Sequence[str], rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(["step", "x", "interval_index"])
-    for step, (x, idx) in enumerate(zip(orb.points, orb.interval_indices)):
-        w.writerow([step, float(x), idx])
+    w.writerow(header)
+    w.writerows(rows)
     return buf.getvalue()
+
+
+def orbit_to_csv(orb: Orbit) -> str:
+    return _csv(["step", "x", "interval_index"],
+                ((step, float(x), idx) for step, (x, idx)
+                 in enumerate(zip(orb.points, orb.interval_indices))))
 
 
 def block_stats_to_csv(rows: Sequence) -> str:
     """BlockStats rows as (N, p, phi, theta, ratio) CSV."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["N", "p", "phi", "theta", "ratio"])
-    for s in rows:
-        w.writerow([s.N, s.distinct_blocks, s.transitivity, s.covering,
-                    s.transitivity / s.covering])
-    return buf.getvalue()
+    return _csv(["N", "p", "phi", "theta", "ratio"],
+                ((s.N, s.distinct_blocks, s.transitivity, s.covering,
+                  s.transitivity / s.covering) for s in rows))
 
 
 def histogram_to_csv(measure) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["bin_lo", "bin_hi", "mass"])
-    for lo, hi, mass in zip(measure.bin_edges, measure.bin_edges[1:],
-                            measure.masses):
-        w.writerow([lo, hi, mass])
-    return buf.getvalue()
+    return _csv(["bin_lo", "bin_hi", "mass"],
+                zip(measure.bin_edges, measure.bin_edges[1:], measure.masses))

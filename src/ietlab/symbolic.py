@@ -134,12 +134,8 @@ def block_stats(ray: Ray, n: int) -> BlockStats:
 
 def surface_parameters(n: int) -> list[tuple[int, int]]:
     """All (genus, boundary components) with 2g + m - 1 = n, g, m >= 1 and
-    negative Euler characteristic."""
+    negative Euler characteristic: g <= n/2 gives m >= 1, and the Euler
+    characteristic 2 - 2g - m is 1 - n < 0 for every one."""
     if n < 2:
         raise ValueError("need n >= 2")
-    out = []
-    for g in range(1, n // 2 + 1):
-        m = n + 1 - 2 * g
-        if m >= 1 and 2 - 2 * g - m < 0:
-            out.append((g, m))
-    return out
+    return [(g, n + 1 - 2 * g) for g in range(1, n // 2 + 1)]

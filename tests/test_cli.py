@@ -145,6 +145,17 @@ def test_radicand_above_the_limit_is_a_usage_error(tmp_path, capsys):
     assert "exceeds" in _one_line_error(capsys)
 
 
+def test_values_beyond_the_float_range_are_domain_errors(tmp_path, capsys):
+    big = 10 ** 400
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps([[[str(big), str(big - 1)], ["1", "1"]]]))
+    for argv in (["rotation", "--matrices", str(path)],
+                 ["rotation", "--matrices", str(path), "--surd"],
+                 ["pf", "--matrix", f"[[{big},1],[1,1]]"]):
+        assert main(argv) == 1, argv
+        assert "beyond the float range" in _one_line_error(capsys)
+
+
 def test_measures_replayable(golden_path, tmp_path):
     argv = ["measures", "--spec", golden_path, "--starts", "4",
             "--steps", "2000", "--seed", "7"]
@@ -195,6 +206,9 @@ def _one_line_error(capsys):
     return err
 
 
+BIG = str(sys.maxsize + 1)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["orbit", "--spec", "SPEC", "--x", "0.1", "--steps", "0"], "positive"),
     (["ergodic", "--spec", "SPEC", "--depth", "-3"], "positive"),
@@ -204,13 +218,21 @@ def _one_line_error(capsys):
       "--stats-n", "-1"], "negative"),
     (["simplex", "--spec", "SPEC", "--k", "-1"], "positive"),
     (["simplex"], "simplex needs --spec or --matrices"),
+    (["orbit", "--spec", "SPEC", "--x", "0.1", "--steps", BIG], "too large"),
+    (["measures", "--spec", "SPEC", "--steps", "10", "--bins", BIG],
+     "too large"),
+    (["code", "--spec", "SPEC", "--x", "0.1", "--steps", "10",
+      "--stats-n", BIG], "too large"),
+    (["surface", "--n", BIG], "too large"),
 ], ids=["orbit-steps-0", "ergodic-depth-neg", "measures-cluster-tol-nan",
         "ergodic-tol-inf", "code-stats-n-neg", "simplex-k-neg",
-        "simplex-no-input"])
+        "simplex-no-input", "orbit-steps-huge", "measures-bins-huge",
+        "code-stats-n-huge", "surface-n-huge"])
 def test_nonpositive_bounded_args_are_usage_errors(argv, message, golden_path,
                                                    capsys):
-    # the schema bounds counts with minimum 0 or exclusiveMinimum 0, and
-    # every bad command line is exit 2 with one line, returned, not raised
+    # the schema bounds counts with minimum 0 or exclusiveMinimum 0, no
+    # list is longer than sys.maxsize (BIG is one more), and every bad
+    # command line is exit 2 with one line, returned, not raised
     argv = [golden_path if a == "SPEC" else a for a in argv]
     assert main(argv) == 2
     assert message in _one_line_error(capsys)

@@ -19,8 +19,9 @@ SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "ietlab" / "schemas"
      / "result.schema.json").read_text())
 
+BIG = 10 ** 400                 # beyond every float and every list length
 POOL = ["0", "1", "2", "-1", "0.1", "1/3", "1/0", "nan", "inf", "1e400",
-        "abc"]
+        "abc", str(BIG)]
 COUNT, FRACTION = ["1", "2"], ["0", "0.1", "1/3"]
 
 # the flags each subcommand may be given, besides the input files, --steps,
@@ -41,7 +42,8 @@ FLAGS = {
     "kgroups": {"--n": ["2"]},
     "surface": {"--n": ["2"]},
 }
-MATRIX_TEXTS = ["[[1]]", "[[]]", "[]", "[1,2]", '"[1,2]"', "{}"]
+MATRIX_TEXTS = ["[[1]]", "[[]]", "[]", "[1,2]", '"[1,2]"', "{}",
+                f"[[{BIG},1],[1,1]]"]
 SPEC_INPUT = {"eval", "orbit", "code", "induce", "stationary", "ergodic",
               "simplex", "measures"}
 MATRICES_INPUT = {"simplex", "rotation"}
@@ -60,11 +62,12 @@ MATRICES = [
     {"matrices": [[["2", "1"], ["1", "1"]], [["3", "1"], ["2", "1"]]],
      "tags": ["t", "b"]},
     [[[1, 1], [0, 1]]],
+    [[[str(BIG), str(BIG - 1)], ["1", "1"]]],
 ]
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 6)
-    | st.sampled_from([0.5, -0.25, 1e300, float("inf"), float("nan")])
+    | st.sampled_from([0.5, -0.25, 1e300, float("inf"), float("nan"), BIG])
     | st.sampled_from(["", "1/2", "2/3", "1/0", "x", "exact", "float"]),
     lambda inner: (st.lists(inner, max_size=4)
                    | st.dictionaries(st.sampled_from(

@@ -15,7 +15,7 @@ from ietlab.dimension_group import (collatz_wielandt, cyclic_structure,
                                     strict_ergodicity_verdict)
 from ietlab.iet import is_irreducible, validate
 from ietlab.induction import MatrixSequence, induce
-from ietlab.intmat import identity, mat_mul, transpose
+from ietlab.intmat import identity, mat_mul, mat_vec, transpose
 from ietlab.numbers import golden_alpha, quad
 
 FIB2 = ((1, 1), (1, 2))   # golden block product, eigenvalue (3+sqrt(5))/2
@@ -107,23 +107,99 @@ def test_cyclic_structure_rejects_disconnected():
         cyclic_structure(((1, 0), (0, 1)))
 
 
+def _boolean_powers(p, count: int) -> list:
+    """B^0, ..., B^count for the 0/1 matrix B of the digraph of P."""
+    b = tuple(tuple(int(v > 0) for v in row) for row in p)
+    powers = [identity(len(p))]
+    for _ in range(count):
+        powers.append(tuple(tuple(int(v > 0) for v in row)
+                            for row in mat_mul(powers[-1], b)))
+    return powers
+
+
 def _wielandt_primitive(p) -> bool:
     """Reference: P is primitive iff P^((n-1)^2 + 1) > 0 (Wielandt)."""
-    n = len(p)
-    b = tuple(tuple(int(v > 0) for v in row) for row in p)
-    power = b
-    for _ in range((n - 1) ** 2):
-        power = tuple(tuple(int(v > 0) for v in row)
-                      for row in mat_mul(power, b))
+    power = _boolean_powers(p, (len(p) - 1) ** 2 + 1)[-1]
     return all(v for row in power for v in row)
 
 
-def test_is_primitive_matches_wielandt_on_all_zero_one_up_to_3x3():
+def _walk_reference(p):
+    """(period, classes) of P from walk lengths alone, or the message of
+    its NotIrreducible.  The period is the gcd of the closed-walk lengths up
+    to n, which include every cycle; vertex v is in class c when every walk
+    from vertex 0 to v of length at most 2n has length = c (mod period)."""
+    n = len(p)
+    powers = _boolean_powers(p, 2 * n)
+    if not all(any(b[i][j] for b in powers[:n])
+               for i in range(n) for j in range(n)):
+        return "digraph of P is not strongly connected"
+    cycles = [k for k in range(1, n + 1)
+              if any(powers[k][i][i] for i in range(n))]
+    if not cycles:
+        return "digraph of P has no cycle"
+    r = math.gcd(*cycles)
+    residues = [{k % r for k, b in enumerate(powers) if b[0][v]}
+                for v in range(n)]
+    assert all(len(res) == 1 for res in residues), p
+    return r, tuple(tuple(v + 1 for v in range(n) if residues[v] == {c})
+                    for c in range(r))
+
+
+def _matrix_pool() -> list:
+    """Every matrix with entries 0..2 up to 3x3, then seeded 4x4..6x6 ones:
+    random density, edges from each of r cyclic classes to the next (of
+    period a multiple of r), and block triangular (reducible)."""
+    pool = [tuple(entries[i:i + n] for i in range(0, n * n, n))
+            for n in (1, 2, 3)
+            for entries in itertools.product((0, 1, 2), repeat=n * n)]
+    rng = random.Random(16)
+    for _ in range(1500):
+        n, form = rng.randint(4, 6), rng.choice(("dense", "cyclic", "blocks"))
+        r, k, density = rng.randint(1, 4), rng.randint(1, n - 1), rng.random()
+        cls = [i % r for i in range(n)]
+        rng.shuffle(cls)
+
+        def edge(i, j):
+            if form == "cyclic":
+                return (cls[i] + 1 - cls[j]) % r == 0 and rng.random() < 0.7
+            return ((form == "dense" or i < k or j >= k)
+                    and rng.random() < density)
+        pool.append(tuple(tuple(rng.randint(1, 2) if edge(i, j) else 0
+                                for j in range(n)) for i in range(n)))
+    return pool
+
+
+def test_is_primitive_matches_wielandt_on_small_and_seeded_matrices():
     # n = 1 holds [[0]], whose digraph has no cycle and so no period
-    for n in (1, 2, 3):
-        for bits in itertools.product((0, 1), repeat=n * n):
-            p = tuple(bits[i:i + n] for i in range(0, n * n, n))
-            assert is_primitive(p) == _wielandt_primitive(p), p
+    for p in _matrix_pool():
+        assert is_primitive(p) == _wielandt_primitive(p), p
+
+
+def test_cyclic_structure_matches_walk_lengths():
+    seen = set()
+    for p in _matrix_pool():
+        want = _walk_reference(p)
+        try:
+            cs = cyclic_structure(p)
+            got = cs.period, cs.block_permutation
+        except errors.NotIrreducible as exc:
+            got = str(exc)
+        assert got == want, p
+        seen.add(want if isinstance(want, str) else min(want[0], 3))
+    assert seen == {1, 2, 3, "digraph of P is not strongly connected",
+                    "digraph of P has no cycle"}
+
+
+def test_perron_frobenius_past_the_float_range_of_its_iterates():
+    # about 270 steps take the integer iterate past 10**308; its floats are
+    # read after a shift into range
+    p = ((100, 1), (1, 90))
+    res = perron_frobenius(p)
+    rho = 95 + math.sqrt(26)
+    assert abs(res.eigenvalue - rho) <= 1e-12 * rho
+    assert abs(sum(res.eigenvector) - 1) < 1e-12
+    image = mat_vec(p, res.eigenvector)
+    assert all(abs(a - rho * b) < 1e-9 for a, b in zip(image, res.eigenvector))
 
 
 def test_perron_frobenius_golden_block():

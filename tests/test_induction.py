@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ietlab import errors, intmat
 from ietlab.iet import is_irreducible, validate
-from ietlab.induction import (BratteliDiagram, MatrixSequence,
+from ietlab.induction import (BratteliDiagram, MatrixSequence, _RauzyState,
                               detect_stationarity, factor_zero_one, induce,
                               rauzy_step, simplicity_check, telescope,
                               to_bratteli)
@@ -45,20 +45,34 @@ def test_golden_renormalization_is_periodic():
     assert seq.final_lengths == (1 - a, a)
 
 
+def _relabelled_reference(spec):
+    """The letter matrix of one step times the relabelling matrix R, where
+    R[l][i] = 1 when the i-th interval of the new spec carries letter l + 1,
+    multiplied densely."""
+    state = _RauzyState(spec)
+    m_letter, _ = state.step()
+    n = spec.n
+    relabel = tuple(tuple(int(state.top[i] == ell + 1) for i in range(n))
+                    for ell in range(n))
+    return intmat.mat_mul(m_letter, relabel)
+
+
 def test_rauzy_step_length_relation():
     # old lambda is proportional to M * new lambda (positional convention)
     rng = random.Random(1)
-    for _ in range(20):
-        spec = random_float_spec(rng, 3)
-        try:
-            new_spec, m, tag = rauzy_step(spec)
-        except errors.IETLabError:
-            continue
-        image = intmat.mat_vec(m, new_spec.lengths)
-        scale = sum(image)
-        for got, want in zip(image, spec.lengths):
-            assert abs(got / scale - want) < 1e-12
-        assert tag in ("a", "b")
+    for n in (3, 2, 4, 5, 6):
+        for _ in range(20):
+            spec = random_float_spec(rng, n)
+            try:
+                new_spec, m, tag = rauzy_step(spec)
+            except errors.IETLabError:
+                continue
+            image = intmat.mat_vec(m, new_spec.lengths)
+            scale = sum(image)
+            for got, want in zip(image, spec.lengths):
+                assert abs(got / scale - want) < 1e-12
+            assert tag in ("a", "b")
+            assert m == _relabelled_reference(spec)
 
 
 def test_induce_emits_elementary_matrices():

@@ -1,5 +1,7 @@
+import copy
 import math
 import operator
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -7,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ietlab.iet import validate
 from ietlab.numbers import (MAX_RADICAND, Quadratic, _squarefree_split,
                             as_int, exact_floor, golden_alpha, is_exact, quad)
 
@@ -97,6 +100,43 @@ def test_hash_consistency():
     x = quad(1, 2, 3)
     y = quad(1, 2, 3)
     assert x == y and hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-2, 1, 4), "not a squarefree"),     # -2 + sqrt(4) is the rational 0
+    ((1, 0, 5), "b == 0"),                # 1, which hashes as the int 1
+    ((0, 1, 12), "not a squarefree"),
+    ((0, 1, 1), "not a squarefree"),
+    ((0, 1, 0), "not a squarefree"),
+    ((0, 1, -5), "not a squarefree"),
+    ((0, 1, MAX_RADICAND + 1), "exceeds"),
+    ((0, 1, 5.5), "not an integer"),
+])
+def test_constructor_refuses_non_canonical_forms(args, message):
+    with pytest.raises(ValueError, match=message):
+        Quadratic(*args)
+
+
+def test_constructor_builds_what_quad_builds():
+    for a, b, d in [(Fraction(-1, 2), Fraction(1, 2), 5), (0, 3, 2),
+                    (7, Fraction(-2, 9), MAX_RADICAND - 3)]:   # squarefree
+        x = Quadratic(a, b, d)
+        assert (x.a, x.b, x.d) == (a, b, d)
+        assert x == quad(a, b, d) and hash(x) == hash(quad(a, b, d))
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_copies_keep_value_type_and_immutability(clone):
+    a = golden_alpha()
+    b = clone(a)
+    assert type(b) is Quadratic and (b.a, b.b, b.d) == (a.a, a.b, a.d)
+    assert b == a and hash(b) == hash(a)
+    with pytest.raises(AttributeError):
+        b.a = Fraction(0)
+    spec = validate((1 - a, a), (2, 1))    # an exact spec copies as well
+    assert clone(spec) == spec
 
 
 @given(st.fractions(max_denominator=50), st.fractions(max_denominator=50))
