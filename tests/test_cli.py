@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import jsonschema
@@ -154,6 +155,15 @@ def test_values_beyond_the_float_range_are_domain_errors(tmp_path, capsys):
                  ["pf", "--matrix", f"[[{big},1],[1,1]]"]):
         assert main(argv) == 1, argv
         assert "beyond the float range" in _one_line_error(capsys)
+
+
+def test_pf_on_a_near_periodic_spectrum_ends(capsys):
+    # eigenvalues 1 +- 10**200: the bracket cannot close in 2000 steps,
+    # while the iterate would grow by about 664 bits a step unshifted
+    start = time.perf_counter()
+    assert main(["pf", "--matrix", f"[[1,{10 ** 400}],[1,1]]"]) == 1
+    assert time.perf_counter() - start < 5
+    assert "bracket wider than 1e-12" in _one_line_error(capsys)
 
 
 def test_measures_replayable(golden_path, tmp_path):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ietlab import errors
+from ietlab import dimension_group, errors
 from ietlab.dimension_group import (collatz_wielandt, cyclic_structure,
                                     estimate_state_dim, is_primitive,
                                     k_groups, measure_bounds,
@@ -200,6 +200,26 @@ def test_perron_frobenius_past_the_float_range_of_its_iterates():
     assert abs(sum(res.eigenvector) - 1) < 1e-12
     image = mat_vec(p, res.eigenvector)
     assert all(abs(a - rho * b) < 1e-9 for a, b in zip(image, res.eigenvector))
+
+
+def test_perron_frobenius_bracket_holds_past_the_bit_budget(monkeypatch):
+    # with a budget of 64 bits the iterate is shifted from about the tenth
+    # step on; any positive vector gives a valid Collatz-Wielandt bracket
+    p = ((100, 1), (1, 90))
+    full = perron_frobenius(p)
+    monkeypatch.setattr(dimension_group, "PF_MAX_BITS", 64)
+    res = perron_frobenius(p)
+    rho = 95 + math.sqrt(26)
+    assert res.lower_cw <= rho <= res.upper_cw
+    assert res.upper_cw - res.lower_cw <= Fraction(1, 10 ** 12)
+    assert abs(res.eigenvalue - rho) <= 1e-12 * rho
+    assert res.history[:9] == full.history[:9]
+    assert res.history[-1] != full.history[-1]
+
+
+def test_cyclic_structure_beyond_the_float_range_is_precision_loss():
+    with pytest.raises(errors.PrecisionLoss, match="beyond the float range"):
+        cyclic_structure(((10 ** 400, 1), (1, 1)))
 
 
 def test_perron_frobenius_golden_block():

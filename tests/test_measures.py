@@ -218,3 +218,26 @@ def test_count_visits_outer_bins_take_points_outside_the_edges(mode):
     spec = validate((Fraction(1, 2), Fraction(1, 2)), (2, 1), mode=mode)
     edges = (Fraction(1, 2), Fraction(5, 8), Fraction(3, 4))
     assert count_visits(spec, Fraction(1, 4), 5, edges) == [3, 2]
+
+
+def test_count_visits_exact_matches_the_bisect_reference():
+    # starts on cuts, on bin edges and on the golden orbit; the edges mix
+    # Fractions with Quadratic cuts, so equal points and edges are met
+    a = golden_alpha()
+    s3 = quad(0, 1, 3)
+    specs = [validate((1 - a, a), (2, 1)),
+             validate(((s3 - 1) / 4, Fraction(1, 5), 2 - s3,
+                       Fraction(-19, 20) + s3 * Fraction(3, 4)), (4, 3, 2, 1)),
+             validate((quad(-1, 1, 2), Fraction(1, 4), quad(Fraction(7, 4),
+                                                            -1, 2)),
+                      (3, 1, 2), (1, -1, 1))]
+    for spec in specs:
+        grid = [Fraction(k, 16) for k in range(17)]
+        for edges in (grid, sorted(set(grid) | set(spec.cuts)),
+                      [0, Fraction(1, 5), spec.cuts[-1], Fraction(9, 10)]):
+            starts = (list(spec.cuts) + edges[1:-1:3]
+                      + list(orbit(spec, Fraction(1, 10), 3).points))
+            for x0, n in [(starts[0], 8193)] + [(x, k) for x in starts
+                                                 for k in (1, 300)]:
+                assert (count_visits(spec, x0, n, edges)
+                        == _visits_by_bisect(spec, x0, n, edges)), (spec, x0, n)

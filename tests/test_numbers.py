@@ -1,4 +1,5 @@
 import copy
+import decimal
 import math
 import operator
 import pickle
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from ietlab.iet import validate
 from ietlab.numbers import (MAX_RADICAND, Quadratic, _squarefree_split,
-                            as_int, exact_floor, golden_alpha, is_exact, quad)
+                            as_int, golden_alpha, is_exact, quad)
 
 
 def test_quad_collapses_to_fraction():
@@ -75,10 +76,10 @@ def test_non_finite_floats_do_not_compare():
 
 
 def test_exact_floor():
-    assert exact_floor(quad(0, 1, 2)) == 1
-    assert exact_floor(quad(0, -1, 2)) == -2
-    assert exact_floor(quad(Fraction(7, 2), Fraction(1, 2), 5)) == 4
-    assert exact_floor(Fraction(-7, 2)) == -4
+    assert math.floor(quad(0, 1, 2)) == 1
+    assert math.floor(quad(0, -1, 2)) == -2
+    assert math.floor(quad(Fraction(7, 2), Fraction(1, 2), 5)) == 4
+    assert math.floor(Fraction(-7, 2)) == -4
 
 
 def test_as_int_never_truncates():
@@ -137,6 +138,10 @@ def test_copies_keep_value_type_and_immutability(clone):
         b.a = Fraction(0)
     spec = validate((1 - a, a), (2, 1))    # an exact spec copies as well
     assert clone(spec) == spec
+    x = Quadratic(Fraction(-10 ** 30, 7), Fraction(3, 10 ** 20), 10 ** 6 + 3)
+    y = clone(x)
+    assert (y.p, y.r, y.q, y.d) == (x.p, x.r, x.q, x.d)
+    assert repr(y) == repr(x) and hash(y) == hash(x)
 
 
 @given(st.fractions(max_denominator=50), st.fractions(max_denominator=50))
@@ -158,22 +163,27 @@ def test_mul_div_roundtrip(a, b, c, d):
         assert (x / y) * y == x
 
 
-def _parts(x, d):
+def _parts(x):
     """(a, b) of x = a + b*sqrt(d), for an int, Fraction or Quadratic."""
     return (x.a, x.b) if isinstance(x, Quadratic) else (Fraction(x), 0)
 
 
-def _textbook(op, x, y, d):
-    """x op y from the field parts by the textbook formulas, built by quad."""
-    (a, b), (c, e) = _parts(x, d), _parts(y, d)
+def _textbook_parts(op, x, y, d):
+    """The parts (a, b) of x op y by the textbook Fraction formulas."""
+    (a, b), (c, e) = _parts(x), _parts(y)
     if op == "+":
-        return quad(a + c, b + e, d)
+        return a + c, b + e
     if op == "-":
-        return quad(a - c, b - e, d)
+        return a - c, b - e
     if op == "*":
-        return quad(a * c + b * e * d, a * e + b * c, d)
+        return a * c + b * e * d, a * e + b * c
     norm = c * c - e * e * d          # x / y = x * conj(y) / norm(y)
-    return quad((a * c - b * e * d) / norm, (b * c - a * e) / norm, d)
+    return (a * c - b * e * d) / norm, (b * c - a * e) / norm
+
+
+def _textbook(op, x, y, d):
+    """x op y from the textbook formulas, built by quad."""
+    return quad(*_textbook_parts(op, x, y, d), d)
 
 
 def _assert_canonical(got, want, d):
@@ -232,7 +242,8 @@ def test_mixed_fields_raise_value_error():
     x, y = quad(1, 1, 2), quad(1, 1, 3)
     for op in (operator.add, operator.sub, operator.mul, operator.truediv,
                operator.eq, operator.lt, operator.ge):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^mixed quadratic fields: "
+                           r"sqrt\(2\) vs sqrt\(3\)$"):
             op(x, y)
 
 
@@ -277,3 +288,130 @@ def test_radicand_above_the_limit_is_refused():
     with pytest.raises(ValueError, match="exceeds"):
         quad(0, 1, 10 ** 40)
     assert quad(1, 0, 10 ** 40) == 1     # b == 0 never reads d
+
+
+# -- the integer form against a Fraction-pair reference ----------------------
+
+FIELDS = (2, 3, 5, 7, 10 ** 6 + 3)
+
+
+def _ref_sign(a, b, d):
+    """Sign of a + b*sqrt(d) from Fraction squares alone."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa if a * a > b * b * d else sb
+
+
+def _ref_floor(a, b, d):
+    """floor(a + b*sqrt(d)) in decimal arithmetic wide enough to decide it."""
+    digits = 40 + max(len(str(v)) for v in (a.numerator, a.denominator,
+                                             b.numerator, b.denominator))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2 * digits
+        v = (decimal.Decimal(a.numerator) / a.denominator
+             + decimal.Decimal(b.numerator) / b.denominator
+             * decimal.Decimal(d).sqrt())
+        m = int(v.to_integral_value(decimal.ROUND_FLOOR))
+        assert min(v - m, m + 1 - v) > decimal.Decimal(10) ** (10 - digits)
+    return m
+
+
+def _assert_pair(got, pair, d):
+    """got is the canonical number with parts `pair`: a Quadratic when the
+    sqrt(d) part is nonzero, else a Fraction."""
+    a, b = pair
+    if b:
+        assert type(got) is Quadratic and (got.a, got.b, got.d) == (a, b, d)
+        assert got.q > 0 and math.gcd(got.p, got.r, got.q) == 1
+        assert (got.p, got.r) == (a * got.q, b * got.q)
+    else:
+        assert type(got) is Fraction and got == a
+
+
+def _check_against_reference(x, y, d):
+    """Every operator, reflected form and comparison of x with y, and the
+    unary operations and conversions of x, against the reference."""
+    a, b = x.a, x.b
+    assert hash(x) == hash((a, b, d))
+    assert repr(x) == f"({a} + {b}*sqrt({d}))"
+    assert float(x) == float(a) + float(b) * math.sqrt(d)
+    assert math.floor(x) == _ref_floor(a, b, d)
+    _assert_pair(-x, (-a, -b), d)
+    _assert_pair(abs(x), (-a, -b) if _ref_sign(a, b, d) < 0 else (a, b), d)
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+    for sym, op in ops.items():
+        for left, right in ((x, y), (y, x)):
+            if sym == "/" and right == 0:
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+            else:
+                _assert_pair(op(left, right),
+                             _textbook_parts(sym, left, right, d), d)
+    sign = _ref_sign(*_textbook_parts("-", x, y, d), d)
+    for op in (operator.lt, operator.le, operator.eq, operator.ne,
+               operator.gt, operator.ge):
+        assert op(x, y) == op(sign, 0) and op(y, x) == op(0, sign)
+
+
+_rationals = st.fractions(max_denominator=10 ** 6).filter(
+    lambda f: abs(f) < 10 ** 9)
+
+
+@given(st.sampled_from(FIELDS), _rationals,
+       _rationals.filter(lambda f: f != 0),
+       st.one_of(st.integers(-10 ** 6, 10 ** 6), _rationals,
+                 st.tuples(_rationals, _rationals)))
+def test_integer_form_matches_the_fraction_pair_reference(d, a, b, other):
+    x = Quadratic(a, b, d)
+    y = quad(*other, d) if isinstance(other, tuple) else other
+    _check_against_reference(x, y, d)
+
+
+def test_integer_form_on_a_seeded_corpus():
+    rng = random.Random(17)
+
+    def rational():
+        size = rng.choice((10, 10 ** 6, 10 ** 30))
+        return Fraction(rng.randint(-size, size), rng.randint(1, size))
+
+    for _ in range(600):
+        d = rng.choice(FIELDS)
+        x = quad(rational(), rational() or 1, d)
+        for y in (rng.randint(-9, 9), 0, rational(), quad(rational(),
+                                                          rational(), d),
+                  quad(rational(), -x.b, d), quad(x.a, rational(), d)):
+            _check_against_reference(x, y, d)
+
+
+def test_integer_floor_on_seeded_values():
+    # with float estimates these would need correction steps: p/q reaches
+    # 10**30, so a float of it is off by far more than 1
+    rng = random.Random(5)
+    for _ in range(10 ** 4):
+        d = rng.choice(FIELDS)
+        big = 10 ** rng.choice((2, 12, 30))
+        a = Fraction(rng.randint(-big, big), rng.randint(1, 10 ** 6))
+        b = Fraction(rng.choice((1, -1)) * rng.randint(1, big),
+                     rng.randint(1, 10 ** 6))
+        x = Quadratic(a, b, d)
+        assert math.floor(x) == _ref_floor(a, b, d), (a, b, d)
+
+
+def test_operators_refuse_other_types_as_before():
+    g = golden_alpha()
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) "
+                       r"for -: 'float' and 'Quadratic'"):
+        1.5 - g
+    with pytest.raises(TypeError, match=r'can only concatenate str \(not '
+                       r'"Quadratic"\) to str'):
+        "x" + g
+    # a reflected form never takes a second Quadratic, as Python never
+    # asks it to
+    for name in ("__rsub__", "__rtruediv__"):
+        assert getattr(g, name)(g) is NotImplemented
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__"):
+        assert getattr(g, name)(1.5) is NotImplemented
+        assert getattr(g, name)("x") is NotImplemented
