@@ -159,17 +159,13 @@ def _run_ergodic(args):
         spec, args.depth, args.max_block, tol=args.tol)), None
 
 
-def _load_sequence(args):
-    if args.matrices:
-        return serialize.load_matrices(args.matrices)
-    spec = serialize.load_spec(args.spec)
-    return induction.induce(spec, args.depth)
-
-
 def _run_simplex(args):
-    if not (args.spec or args.matrices):
+    if args.matrices:
+        seq = serialize.load_matrices(args.matrices)
+    elif args.spec:
+        seq = induction.induce(serialize.load_spec(args.spec), args.depth)
+    else:
         raise ValueError("simplex needs --spec or --matrices")
-    seq = _load_sequence(args)
     k = args.k if args.k is not None else len(seq.matrices)
     approx = dg.state_simplex(seq, k)
     return {
@@ -300,14 +296,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stationary", help="search for a repeating block")
     common(p, _run_stationary)
     p.add_argument("--steps", type=_POS_INT, default=40)
-    p.add_argument("--max-block", type=_POS_INT, default=12)
-    p.add_argument("--min-repeats", type=_POS_INT, default=3)
+    p.add_argument("--max-block", type=_POS_INT, default=induction.MAX_BLOCK)
+    p.add_argument("--min-repeats", type=_POS_INT,
+                   default=induction.MIN_REPEATS)
 
     p = sub.add_parser("ergodic", help="strict-ergodicity verdict")
     common(p, _run_ergodic)
     p.add_argument("--depth", type=_POS_INT, default=40)
-    p.add_argument("--max-block", type=_POS_INT, default=12)
-    p.add_argument("--tol", type=_POS_FLOAT, default=1e-8)
+    p.add_argument("--max-block", type=_POS_INT, default=induction.MAX_BLOCK)
+    p.add_argument("--tol", type=_POS_FLOAT, default=dg.RANK_TOL)
 
     p = sub.add_parser("simplex", help="state-simplex approximation")
     common(p, _run_simplex, spec=False)
@@ -320,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, _run_pf, spec=False)
     p.add_argument("--matrix", required=True,
                    help='JSON rows, e.g. "[[2,1],[1,1]]"')
-    p.add_argument("--tol", type=_POS_FLOAT, default=1e-12)
+    p.add_argument("--tol", type=_POS_FLOAT, default=dg.PF_TOL)
 
     p = sub.add_parser("rotation", help="matrix continued fraction")
     common(p, _run_rotation, spec=False)
@@ -390,7 +387,7 @@ def main(argv=None) -> int:
     except IETLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
 

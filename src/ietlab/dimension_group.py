@@ -23,13 +23,16 @@ from .errors import (FlipUnsupported, KeaneViolation, MaxIterExceeded,
                      NotIrreducible, NotPrimitive, PrecisionLoss, Reducible,
                      SequenceTooShort, ZeroLine, ZeroVector)
 from .iet import IETSpec
-from .induction import (MatrixSequence, StationarityWitness,
+from .induction import (MAX_BLOCK, MatrixSequence, StationarityWitness,
                         detect_stationarity, induce)
 from .intmat import IntMatrix
 
 # bits kept of perron_frobenius's iterate: above the 3,987 that any test,
 # CLI replay or benchmark input reaches, so none of them is shifted
 PF_MAX_BITS = 4096
+PF_MAX_ITER = 2000
+PF_TOL = 1e-12      # width of the Perron-Frobenius bracket
+RANK_TOL = 1e-8     # singular values at most this count as zero
 
 
 def collatz_wielandt(p: IntMatrix, x: Sequence):
@@ -146,8 +149,7 @@ class PFResult(NamedTuple):
     history: tuple[tuple[Fraction, Fraction], ...] = ()
 
 
-def perron_frobenius(p: IntMatrix, tol: float = 1e-12,
-                     max_iter: int = 2000) -> PFResult:
+def perron_frobenius(p: IntMatrix, tol: float = PF_TOL) -> PFResult:
     """Power iteration from the all-ones vector on exact integer vectors.
 
     The Collatz-Wielandt minimum and the max-ratio dual are computed as exact
@@ -164,9 +166,9 @@ def perron_frobenius(p: IntMatrix, tol: float = 1e-12,
     x = (1,) * n
     history = []
     tol_f = Fraction(tol).limit_denominator(10 ** 18)
-    for it in range(1, max_iter + 1):
+    for it in range(1, PF_MAX_ITER + 1):
         px = intmat.mat_vec(p, x)
-        ratios = [Fraction(num, den) for num, den in zip(px, x) if den > 0]
+        ratios = [Fraction(num, den) for num, den in zip(px, x)]
         lower, upper = min(ratios), max(ratios)
         history.append((lower, upper))
         if upper - lower <= tol_f:
@@ -191,7 +193,8 @@ def perron_frobenius(p: IntMatrix, tol: float = 1e-12,
         shift = max(v.bit_length() for v in x) - PF_MAX_BITS
         if shift > 0:
             x = tuple(max(v >> shift, 1) for v in x)
-    raise MaxIterExceeded(f"bracket wider than {tol} after {max_iter} iterations")
+    raise MaxIterExceeded(
+        f"bracket wider than {tol} after {PF_MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +290,7 @@ def _state_dim(cols, sums, diameter: Fraction, tol: float) -> int:
 
 
 def state_simplex(seq: MatrixSequence, k: int,
-                  rank_tol: float = 1e-8) -> StateSpaceApprox:
+                  rank_tol: float = RANK_TOL) -> StateSpaceApprox:
     """Simplex spanned by the normalized images of the dual basis after the
     first k matrices; diameter is the exact maximal pairwise L1 distance."""
     cols, sums = _simplex(seq, k)
@@ -305,12 +308,11 @@ def simplex_diameters(seq: MatrixSequence) -> list[Fraction]:
     return [_diameter(*_columns(v)) for v in islice(products, 1, None)]
 
 
-def estimate_state_dim(seq: MatrixSequence, k_max: int,
-                       tol: float = 1e-8) -> int:
+def estimate_state_dim(seq: MatrixSequence, k_max: int) -> int:
     """Numeric affine dimension of the column set at depth k_max: the number
     of independent invariant ergodic measures seen by the approximation."""
     cols, sums = _simplex(seq, min(k_max, len(seq.matrices)))
-    return _state_dim(cols, sums, _diameter(cols, sums), tol)
+    return _state_dim(cols, sums, _diameter(cols, sums), RANK_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +342,11 @@ class ErgodicityVerdict(NamedTuple):
 
 
 def strict_ergodicity_verdict(spec: IETSpec, induction_depth: int = 40,
-                              max_block: int = 12, min_repeats: int = 3,
-                              tol: float = 1e-8,
-                              pf_tol: float = 1e-12) -> ErgodicityVerdict:
-    """Induce, look for a stationarity witness, certify via Perron-Frobenius;
-    otherwise fall back to the state-dimension estimate.
+                              max_block: int = MAX_BLOCK, *,
+                              tol: float = RANK_TOL) -> ErgodicityVerdict:
+    """Induce, look for MIN_REPEATS equal blocks of length <= max_block,
+    certify the block via Perron-Frobenius to PF_TOL; otherwise fall back
+    to the state-dimension estimate at rank tolerance tol.
 
     Only the stationary => strictly ergodic direction is proved, so
     non-stationary runs are never labeled beyond LikelyErgodic.
@@ -358,14 +360,14 @@ def strict_ergodicity_verdict(spec: IETSpec, induction_depth: int = 40,
 
     witness = None
     try:
-        witness = detect_stationarity(seq, max_block, min_repeats)
+        witness = detect_stationarity(seq, max_block)
     except SequenceTooShort:
         pass
 
     cols, sums = _simplex(seq, len(seq.matrices))
     diam = _diameter(cols, sums)
     if witness is not None and is_primitive(witness.block_product):
-        pf = perron_frobenius(witness.block_product, pf_tol)
+        pf = perron_frobenius(witness.block_product)
         cert = ErgodicityCertificate(witness, pf, float(diam))
         return ErgodicityVerdict("StrictlyErgodic", cert, 1, sequence=seq)
 

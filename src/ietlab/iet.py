@@ -279,15 +279,15 @@ class KeaneVerdict(NamedTuple):
     points: tuple = ()
 
 
-def keane_condition(spec: IETSpec, depth: int,
-                    tol: float = KEANE_FLOAT_TOL) -> KeaneVerdict:
+def keane_condition(spec: IETSpec, depth: int) -> KeaneVerdict:
     """Finite-depth i.d.o.c. check.
 
     Iterates the discontinuities beta_1..beta_{n-1} forward and reports a
-    collision when an iterate lands on (exact mode) or within `tol` of
-    (float mode) another discontinuity.  Step s means the (s+1)-th image
-    collides.  Float-mode collisions are reported Inconclusive because
-    rounding cannot distinguish a true hit from a near miss.
+    collision when an iterate lands on (exact mode) or within
+    KEANE_FLOAT_TOL of (float mode) another discontinuity.  Step s means
+    the (s+1)-th image collides.  Float-mode collisions are reported
+    Inconclusive because rounding cannot distinguish a true hit from a
+    near miss.
     """
     disc = list(spec.cuts)
     if not disc:
@@ -301,7 +301,7 @@ def keane_condition(spec: IETSpec, depth: int,
                 if p in disc:
                     return KeaneVerdict(KeaneStatus.FAILS, depth, s, tuple(pts))
             else:
-                if any(abs(p - d) <= tol for d in disc):
+                if any(abs(p - d) <= KEANE_FLOAT_TOL for d in disc):
                     return KeaneVerdict(KeaneStatus.INCONCLUSIVE, depth, s,
                                         tuple(pts))
     return KeaneVerdict(KeaneStatus.HOLDS, depth)

@@ -20,10 +20,13 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import intmat
 from .errors import (BadCutPoints, FlipUnsupported, KeaneViolation, Reducible,
-                     SequenceTooShort, ZeroLine)
+                     SequenceTooShort)
 from .iet import IETSpec, is_irreducible, validate
 from .intmat import IntMatrix
 from .numbers import Quadratic, int_sign, quad
+
+MAX_BLOCK = 12      # longest block detect_stationarity tries
+MIN_REPEATS = 3     # equal consecutive blocks that make a witness
 
 
 class MatrixSequence(NamedTuple):
@@ -67,6 +70,8 @@ class _RauzyState:
     def __init__(self, spec: IETSpec):
         if not spec.oriented:
             raise FlipUnsupported("Rauzy induction needs an oriented IET")
+        if spec.n < 2:   # one interval has nothing to compete with
+            raise Reducible("Rauzy induction needs at least two intervals")
         if not is_irreducible(spec.pi):
             raise Reducible(f"permutation {spec.pi} is reducible")
         n = spec.n
@@ -80,9 +85,9 @@ class _RauzyState:
         self.lengths = dict(zip(self.top, lengths))
 
     def step(self) -> tuple[IntMatrix, str]:
+        # t != b: t == b means pi(n) = n, and a Rauzy step keeps pi
+        # irreducible (Rauzy, Acta Arith. 34, 1979)
         t, b = self.top[-1], self.bottom[-1]
-        if t == b:
-            raise Reducible("last letters coincide")
         lt, lb = self.lengths[t], self.lengths[b]
         if self.mode == "float":
             sign = (lt > lb) - (lt < lb)
@@ -135,8 +140,8 @@ def rauzy_step(spec: IETSpec) -> tuple[IETSpec, IntMatrix, str]:
 def induce(spec: IETSpec, steps: int) -> MatrixSequence:
     """Run `steps` Rauzy steps, emitting the elementary matrix sequence.
 
-    Failures are re-raised with `.step` and `.partial` (the sequence built so
-    far) attached.
+    A KeaneViolation is re-raised with `.step` and `.partial` (the sequence
+    built so far) attached.
     """
     state = _RauzyState(spec)
     matrices: list[IntMatrix] = []
@@ -144,7 +149,7 @@ def induce(spec: IETSpec, steps: int) -> MatrixSequence:
     for k in range(steps):
         try:
             m, tag = state.step()
-        except (KeaneViolation, Reducible) as exc:
+        except KeaneViolation as exc:
             exc.step = k
             exc.partial = MatrixSequence(tuple(matrices), tuple(tags),
                                          state.letter_lengths())
@@ -187,8 +192,9 @@ def _window_products(seq: MatrixSequence, max_length: int):
         yield length, products
 
 
-def detect_stationarity(seq: MatrixSequence, max_block: int = 12,
-                        min_repeats: int = 3) -> Optional[StationarityWitness]:
+def detect_stationarity(seq: MatrixSequence, max_block: int = MAX_BLOCK,
+                        min_repeats: int = MIN_REPEATS
+                        ) -> Optional[StationarityWitness]:
     """Search for a repeating block product.
 
     For block lengths L = 1..max_block in turn, scans every start s for

@@ -11,6 +11,7 @@ bounds concern minimal transformations.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple, Optional, Sequence
 
 from .dimension_group import measure_bounds
@@ -20,6 +21,8 @@ from .iet import IETSpec, count_visits
 DEFAULT_BINS = 64
 DEFAULT_CLUSTER_TOL = 0.05
 _COARSE_BINS = 8
+_MIN_BIN_WIDTH = 1e-6   # narrower bins may go unvisited by a minimal map
+_MASS_EPS = 1e-9        # a bin with at most this mass is empty
 
 
 class EmpiricalMeasure(NamedTuple):
@@ -75,23 +78,23 @@ def _l1(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     return sum(abs(x - y) for x, y in zip(a.masses, b.masses))
 
 
-def _misses_a_bin(m: EmpiricalMeasure, min_width: float = 1e-6) -> bool:
+def _misses_a_bin(m: EmpiricalMeasure) -> bool:
     """True when the orbit never visited some bin of non-negligible width.
 
     Minimal transformations have dense orbits, so after enough iterates every
     bin is hit; an untouched bin is the signature of a periodic component or
     an invariant subregion.
     """
-    return any(mass == 0 and hi - lo > min_width
+    return any(mass == 0 and hi - lo > _MIN_BIN_WIDTH
                for lo, hi, mass in zip(m.bin_edges, m.bin_edges[1:],
                                        m.masses))
 
 
-def _coarse_support(m: EmpiricalMeasure, eps: float = 1e-9) -> frozenset:
+def _coarse_support(m: EmpiricalMeasure) -> frozenset:
     """Indices of coarse uniform cells carrying mass."""
     occupied = set()
     for (lo, hi), mass in zip(zip(m.bin_edges, m.bin_edges[1:]), m.masses):
-        if mass > eps:
+        if mass > _MASS_EPS:
             mid = (lo + hi) / 2
             occupied.add(min(int(mid * _COARSE_BINS), _COARSE_BINS - 1))
     return frozenset(occupied)
@@ -112,26 +115,16 @@ def estimate_ergodic_count(spec: IETSpec, starts: Sequence, n_steps: int,
     ordered = sorted(starts, key=float)   # deterministic aggregation order
     measures = [empirical_measure(spec, x0, n_steps, bins) for x0 in ordered]
 
-    # single-linkage union-find
-    parent = list(range(len(measures)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    # single linkage: each measure is labelled with the smallest index in
+    # its cluster, and a close pair relabels the larger label to the smaller
+    label = list(range(len(measures)))
     for i in range(len(measures)):
         for j in range(i + 1, len(measures)):
-            if _l1(measures[i], measures[j]) <= cluster_tol:
-                parent[find(i)] = find(j)
-
-    groups: dict = {}
-    for i in range(len(measures)):
-        groups.setdefault(find(i), []).append(i)
-    clusters = tuple((measures[members[0]], len(members))
-                     for _, members in sorted(groups.items(),
-                                              key=lambda kv: min(kv[1])))
+            a, b = sorted((label[i], label[j]))
+            if a != b and _l1(measures[i], measures[j]) <= cluster_tol:
+                label = [a if x == b else x for x in label]
+    clusters = tuple((measures[k], count)
+                     for k, count in Counter(label).items())
 
     supports = [_coarse_support(m) for m in measures]
     non_minimal = (any(_misses_a_bin(m) for m in measures)

@@ -37,6 +37,8 @@ from .errors import (NoRealFixedPoint, PrecisionLoss, RationalFixedPoint,
 from .intmat import IntMatrix
 from .numbers import Quadratic, as_int, is_exact, quad
 
+QUOTIENT_FLOAT_TOL = 1e-13   # least uncertainty of a float's CF quotients
+
 
 class _MoebiusEntries(NamedTuple):
     a: int
@@ -181,12 +183,12 @@ def _exact_cycle_set(x, depth: int) -> frozenset:
     raise PrecisionLoss(f"no cycle within {depth} complete quotients")
 
 
-def _float_quotients(x: float, depth: int, uncertainty: float = 1e-13):
+def _float_quotients(x: float, depth: int):
     """Regular CF quotients of a float, stopping once rounding makes the next
     quotient ambiguous."""
     quotients = []
     value = x
-    err = max(uncertainty, abs(x) * 1e-15)
+    err = max(QUOTIENT_FLOAT_TOL, abs(x) * 1e-15)
     for _ in range(depth):
         lo, hi = value - err, value + err
         if math.floor(lo) != math.floor(hi):
@@ -203,8 +205,7 @@ def _float_quotients(x: float, depth: int, uncertainty: float = 1e-13):
     return quotients
 
 
-def modular_equivalent(theta1, theta2, depth: int = 40,
-                       tol: float = 1e-13) -> bool:
+def modular_equivalent(theta1, theta2, depth: int = 40) -> bool:
     """True iff the regular continued fractions of the two reals have
     eventually coinciding tails.
 
@@ -221,8 +222,8 @@ def modular_equivalent(theta1, theta2, depth: int = 40,
         if not c1 and not c2:
             return True            # two rationals
         return bool(c1 & c2)
-    q1 = _float_quotients(float(theta1), depth, tol)
-    q2 = _float_quotients(float(theta2), depth, tol)
+    q1 = _float_quotients(float(theta1), depth)
+    q2 = _float_quotients(float(theta2), depth)
     if len(q1) < 5 or len(q2) < 5:
         raise PrecisionLoss("fewer than 5 stable partial quotients")
     # tails coincide: some suffix of one matches a suffix of the other

@@ -335,6 +335,41 @@ def test_zero_denominator_point(golden_path, capsys):
     assert "zero denominator" in _one_line_error(capsys)
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this ietlab."""
+    src = str(Path(__file__).parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+@pytest.mark.parametrize("argv, file, code, message", [
+    (["eval", "--x", "0.1", "--spec"], {"lambda": [], "pi": []}, 1,
+     "error: need at least one interval"),
+    (["eval", "--x", "0.1", "--spec"],
+     {"lambda": ["1/3", "2/3"], "pi": [2, 1, 3]}, 1,
+     "error: permutation size differs from lengths"),
+    (["eval", "--x", "0.1", "--spec"],
+     {"lambda": ["1/3", "2/3"], "pi": [2, 1], "epsilon": [2, 1]}, 1,
+     "error: signs must be +1/-1, one per interval"),
+    (["rotation", "--matrices"], [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], 1,
+     "error: rotation numbers need 2x2 matrices"),
+    (["measures", "--bins", "1", "--spec"],
+     {"lambda": ["1/3", "2/3"], "pi": [2, 1]}, 1,
+     "error: need at least 2 bins"),
+], ids=["empty-lambda", "pi-length", "epsilon-2", "rotation-3x3",
+        "measures-bins-1"])
+def test_refusals_of_a_cli_process(argv, file, code, message, tmp_path):
+    # the whole process, from `python -m`: its exit code and one line; the
+    # input file is the value of the last flag
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(file))
+    proc = subprocess.run([sys.executable, "-m", "ietlab.cli", *argv,
+                           str(path)], env=_child_env(), capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "",
+                                                           message + "\n")
+
+
 def test_cli_runs_without_numpy(golden_path, tmp_path):
     # with sys.modules["numpy"] = None any import of numpy raises, so every
     # call below proves its path numpy-free; the float 4-IET's verdict is
@@ -360,9 +395,6 @@ def test_cli_runs_without_numpy(golden_path, tmp_path):
         assert verdict.certificate.pf is None
         assert verdict.state_dim_estimate == 4
         """)
-    src = str(Path(__file__).parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

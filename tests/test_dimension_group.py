@@ -428,3 +428,25 @@ def test_cw_is_lower_bound_on_any_positive_vector(n, data):
     x = tuple(data.draw(st.integers(1, 9)) for _ in range(n))
     res = perron_frobenius(m, tol=1e-10)
     assert float(collatz_wielandt(m, x)) <= res.eigenvalue + 1e-9
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: perron_frobenius(FIB2, tol=0), ValueError,
+     "tol must be positive"),
+    (lambda: state_simplex(MatrixSequence((), ()), 0),
+     errors.SequenceTooShort, "empty sequence"),
+], ids=["pf-tol-0", "simplex-empty"])
+def test_dimension_group_refusals(call, error, message):
+    with pytest.raises(error) as exc_info:
+        call()
+    assert str(exc_info.value) == message
+
+
+def test_verdict_takes_its_tolerance_by_keyword_only():
+    # a fourth positional argument (once min_repeats) is refused, never
+    # read as a tolerance
+    spec = validate((Fraction(1, 3), Fraction(2, 3)), (2, 1))
+    with pytest.raises(TypeError, match="positional argument"):
+        strict_ergodicity_verdict(spec, 40, 12, 3)
+    assert (strict_ergodicity_verdict(spec, 40, 12, tol=1e-8)
+            == strict_ergodicity_verdict(spec, 40, 12))

@@ -233,3 +233,15 @@ def test_keane_matches_stepping_by_evaluate(mode, flips):
             assert verdict == _keane_by_evaluate(spec, depth), spec
             seen.add(verdict.status)
     assert len(seen) == 2   # both a collision and none were met
+
+
+def test_orbit_refuses_a_negative_length():
+    with pytest.raises(errors.DomainError,
+                       match="^orbit length must be nonnegative$"):
+        orbit(golden_spec(), Fraction(1, 10), -1)
+
+
+def test_keane_condition_holds_on_one_interval():
+    # no discontinuity, so nothing can collide
+    spec = validate((Fraction(1),), (1,))
+    assert keane_condition(spec, 5) == KeaneVerdict(KeaneStatus.HOLDS, 5)

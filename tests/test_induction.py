@@ -115,6 +115,42 @@ def test_induce_rejects_flips_and_reducible():
                         (1, 3, 2)), 5)
 
 
+def test_induce_rejects_a_single_interval():
+    # is_irreducible((1,)) holds, but one interval has nothing to compete with
+    for lengths in ((Fraction(1),), (1.0,)):
+        with pytest.raises(errors.Reducible,
+                           match="needs at least two intervals"):
+            induce(validate(lengths, (1,)), 5)
+
+
+def test_rauzy_steps_keep_the_permutation_irreducible():
+    # a step maps an irreducible permutation to an irreducible one (Rauzy,
+    # Acta Arith. 34, 1979), so the two last letters never coincide
+    rng = random.Random("rauzy-irreducible")
+    perms = [p for n in range(2, 6)
+             for p in itertools.permutations(range(1, n + 1))
+             if is_irreducible(p)]
+    six = [p for p in itertools.permutations(range(1, 7)) if is_irreducible(p)]
+    perms += rng.sample(six, 40)
+    steps = 0
+    for pi in perms:
+        raw = [rng.randint(1, 10 ** 9) for _ in pi]
+        for lengths in ([Fraction(v, sum(raw)) for v in raw],
+                        [v / sum(raw) for v in raw]):
+            state = _RauzyState(validate(lengths, pi))
+            for _ in range(300):
+                try:
+                    state.step()
+                except errors.KeaneViolation:
+                    break
+                steps += 1
+                # the permutation read from the two rows, as to_spec reads it
+                assert is_irreducible(tuple(state.bottom.index(ell) + 1
+                                            for ell in state.top)), pi
+                assert state.top[-1] != state.bottom[-1], pi
+    assert steps > 40_000
+
+
 def test_induce_rational_halts_with_context():
     spec = validate((Fraction(1, 3), Fraction(2, 3)), (2, 1))
     with pytest.raises(errors.KeaneViolation) as exc_info:
@@ -276,6 +312,22 @@ def test_simplicity_check():
     for window in (0, -1):
         with pytest.raises(errors.SequenceTooShort):
             simplicity_check(seq, window)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda seq: detect_stationarity(seq, max_block=0),
+     "max_block and min_repeats must be >= 1"),
+    (lambda seq: detect_stationarity(seq, min_repeats=0),
+     "max_block and min_repeats must be >= 1"),
+    (lambda seq: simplicity_check(MatrixSequence((), ()), 3),
+     "empty sequence"),
+    (lambda seq: simplicity_check(seq, 0), "window must be >= 1"),
+], ids=["max-block-0", "min-repeats-0", "simplicity-empty",
+        "simplicity-window-0"])
+def test_stationarity_and_simplicity_refusals(call, message):
+    with pytest.raises(errors.SequenceTooShort) as exc_info:
+        call(induce(golden_spec(), 10))
+    assert str(exc_info.value) == message
 
 
 def _stationarity_reference(ms, max_block, min_repeats):

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ietlab import intmat
@@ -74,3 +75,14 @@ def test_sequence_functions_agree_with_dense_products():
         for k in {1, len(ms) // 2, len(ms)} - {0}:
             assert state_simplex(fast, k) == state_simplex(slow, k)
         assert simplex_diameters(fast) == simplex_diameters(slow)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: intmat.mat_mul(((1, 2),), ((1, 2),)), "dimension mismatch"),
+    (lambda: intmat.mat_vec(((1, 2),), (1,)), "dimension mismatch"),
+    (lambda: intmat.product([]), "empty product"),
+], ids=["mat-mul", "mat-vec", "empty-product"])
+def test_intmat_refusals(call, message):
+    with pytest.raises(ValueError) as exc_info:
+        call()
+    assert str(exc_info.value) == message

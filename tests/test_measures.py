@@ -117,6 +117,42 @@ def test_census_cluster_count_monotone_in_tol():
     assert counts == sorted(counts, reverse=True)
 
 
+def _components(ms, tol):
+    """Single-linkage clusters as connected components of the graph with
+    an edge where the L1 distance is at most tol, in order of first member,
+    each as (first member, size)."""
+    close = [[sum(abs(x - y) for x, y in zip(a.masses, b.masses)) <= tol
+              for b in ms] for a in ms]
+    seen, out = set(), []
+    for i in range(len(ms)):
+        if i in seen:
+            continue
+        comp = {i}
+        stack = [i]
+        while stack:
+            j = stack.pop()
+            new = {k for k in range(len(ms)) if close[j][k]} - comp
+            comp |= new
+            stack += new
+        seen |= comp
+        out.append((ms[i], len(comp)))
+    return tuple(out)
+
+
+def test_census_clusters_match_connected_components():
+    # short orbits give measures at spread-out distances, so clusters form
+    # by chains of close pairs; an identity spec gives exact duplicates
+    rng = random.Random("single-linkage")
+    specs = [_random_float_4iet(rng, flips) for flips in (False, True) * 3]
+    specs.append(identity_spec(4))
+    for spec in specs:
+        starts = sorted(rng.random() for _ in range(12))
+        ms = [empirical_measure(spec, x0, 300, bins=16) for x0 in starts]
+        for tol in (0.05, 0.2, 0.4, 0.8, 2.0):
+            census = estimate_ergodic_count(spec, starts, 300, tol, bins=16)
+            assert census.clusters == _components(ms, tol), (spec, tol)
+
+
 def test_census_needs_two_starts():
     with pytest.raises(errors.DomainError):
         estimate_ergodic_count(golden_float(), [0.1], 100)
@@ -177,12 +213,13 @@ def test_exact_golden_orbit_and_measure_values():
 
 
 def _visits_by_bisect(spec, x0, n_steps, edges):
-    # one bisect per iterate; the last bin takes points at or past its edge
+    # one bisect per iterate; the first bin takes points below its edge,
+    # the last bin points at or past its edge
     counts = [0] * (len(edges) - 1)
     x = x0
     for _ in range(n_steps):
         b = bisect_right(edges, x) - 1
-        counts[min(b, len(counts) - 1)] += 1
+        counts[min(max(b, 0), len(counts) - 1)] += 1
         x = evaluate(spec, x)
     return counts
 
@@ -234,7 +271,8 @@ def test_count_visits_exact_matches_the_bisect_reference():
     for spec in specs:
         grid = [Fraction(k, 16) for k in range(17)]
         for edges in (grid, sorted(set(grid) | set(spec.cuts)),
-                      [0, Fraction(1, 5), spec.cuts[-1], Fraction(9, 10)]):
+                      [0, Fraction(1, 5), spec.cuts[-1], Fraction(9, 10)],
+                      [Fraction(1, 5), spec.cuts[-1], Fraction(9, 10)]):
             starts = (list(spec.cuts) + edges[1:-1:3]
                       + list(orbit(spec, Fraction(1, 10), 3).points))
             for x0, n in [(starts[0], 8193)] + [(x, k) for x in starts

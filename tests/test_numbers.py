@@ -415,3 +415,13 @@ def test_operators_refuse_other_types_as_before():
                  "__rmul__", "__truediv__", "__rtruediv__"):
         assert getattr(g, name)(1.5) is NotImplemented
         assert getattr(g, name)("x") is NotImplemented
+
+
+def test_quad_refuses_a_zero_radicand():
+    with pytest.raises(ValueError, match="^radicand must be positive$"):
+        quad(1, 1, 0)
+
+
+def test_quadratic_does_not_order_with_a_string():
+    with pytest.raises(TypeError, match="'<' not supported"):
+        golden_alpha() < "x"

@@ -262,3 +262,20 @@ def test_same_field_surds_share_tails_iff_cycles_meet():
     s2 = quad(0, 1, 2)
     assert modular_equivalent(s2, 1 + s2)
     assert modular_equivalent(s2, 2 * s2 + 1) in (True, False)  # decidable
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: rotation_number([]), ValueError, "empty matrix sequence"),
+    (lambda: rotation_number([FIB], depth=0), ValueError,
+     "depth must be >= 1"),
+    (lambda: modular_equivalent(PHI, PHI, depth=4), ValueError,
+     "depth must be >= 5"),
+    # the complete quotients of sqrt(94) repeat with period 16
+    (lambda: modular_equivalent(quad(0, 1, 94), PHI, depth=15),
+     errors.PrecisionLoss, "no cycle within 15 complete quotients"),
+], ids=["rotation-empty", "rotation-depth-0", "modular-depth-4",
+        "modular-cycle-past-depth"])
+def test_rotation_refusals(call, error, message):
+    with pytest.raises(error) as exc_info:
+        call()
+    assert str(exc_info.value) == message
