@@ -185,11 +185,7 @@ def _run_pf(args):
 
 
 def _run_rotation(args):
-    # continued-fraction matrices may have signed entries
-    seq = serialize.load_matrices(args.matrices, nonnegative=False)
-    for m in seq.matrices:
-        if len(m) != 2 or len(m[0]) != 2:
-            raise IETLabError("rotation numbers need 2x2 matrices")
+    seq = serialize.load_matrices(args.matrices)
     rn = rotation.rotation_number(seq.matrices, args.depth)
     result = {
         "convergents": [serialize.scalar_to_json(c) for c in rn.convergents],

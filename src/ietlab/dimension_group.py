@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import intmat
 from .errors import (FlipUnsupported, KeaneViolation, MaxIterExceeded,
                      NotIrreducible, NotPrimitive, PrecisionLoss, Reducible,
-                     SequenceTooShort, ZeroLine, ZeroVector)
+                     SequenceTooShort, ZeroVector)
 from .iet import IETSpec
 from .induction import (MAX_BLOCK, MatrixSequence, StationarityWitness,
                         detect_stationarity, induce)
@@ -38,6 +38,7 @@ RANK_TOL = 1e-8     # singular values at most this count as zero
 def collatz_wielandt(p: IntMatrix, x: Sequence):
     """min over supported coordinates of (Px)_i / x_i; coordinates with
     x_i = 0 are excluded.  A guaranteed lower bound on the Perron root."""
+    intmat.check_nonnegative(p)
     if all(v == 0 for v in x):
         raise ZeroVector("Collatz-Wielandt needs a nonzero vector")
     px = intmat.mat_vec(p, x)
@@ -68,6 +69,7 @@ def _period_levels(p: IntMatrix) -> tuple[int, list[int]]:
     reaches 0 back.  The period is the gcd over edges u -> v of level[u] +
     1 - level[v].  A digraph with no cycle (the 1x1 zero matrix) has no
     period and raises."""
+    intmat.check_nonnegative(p)
     n = len(p)
     level = [0] + [None] * (n - 1)
     queue = [0]
@@ -231,10 +233,7 @@ def _simplex(seq: MatrixSequence, k: int):
 def _columns(v: IntMatrix) -> tuple[list[tuple[int, ...]], list[int]]:
     """Columns of V and their sums: vertex j is column j over its sum."""
     cols = list(zip(*v))
-    sums = [sum(c) for c in cols]
-    if 0 in sums:
-        raise ZeroLine("zero column in the iterated product")
-    return cols, sums
+    return cols, [sum(c) for c in cols]
 
 
 def _diameter(cols, sums) -> Fraction:
@@ -355,7 +354,8 @@ def strict_ergodicity_verdict(spec: IETSpec, induction_depth: int = 40,
         seq = induce(spec, induction_depth)
     except (KeaneViolation, Reducible, FlipUnsupported) as exc:
         step = getattr(exc, "step", None)
-        diag = f"{type(exc).__name__} at step {step}: {exc}"
+        at = "" if step is None else f" at step {step}"
+        diag = f"{type(exc).__name__}{at}: {exc}"
         return ErgodicityVerdict("Inconclusive", None, None, (diag,))
 
     witness = None

@@ -14,15 +14,6 @@ from .errors import ZeroLine
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def mat(rows: Sequence[Sequence[int]], nonnegative: bool = True) -> IntMatrix:
-    m = tuple(tuple(int(v) for v in row) for row in rows)
-    if not m or not m[0] or any(len(row) != len(m[0]) for row in m):
-        raise ValueError("ragged or empty matrix")
-    if nonnegative and any(v < 0 for row in m for v in row):
-        raise ValueError("negative entry in nonnegative matrix")
-    return m
-
-
 def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -84,9 +75,16 @@ def is_zero_one(a: IntMatrix) -> bool:
     return all(v in (0, 1) for row in a for v in row)
 
 
+def check_nonnegative(a: IntMatrix) -> None:
+    """Connecting matrices span the positive cone: no entry is negative."""
+    if any(v < 0 for row in a for v in row):
+        raise ValueError("negative entry in nonnegative matrix")
+
+
 def check_no_zero_line(a: IntMatrix) -> None:
-    if id(a) in _ELEMENTARY:   # I + E_ij has none
+    if id(a) in _ELEMENTARY:   # I + E_ij: nonnegative, no zero line
         return
+    check_nonnegative(a)
     for i, row in enumerate(a):
         if not any(row):
             raise ZeroLine(f"row {i} is zero")

@@ -32,8 +32,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import intmat
-from .errors import (NoRealFixedPoint, PrecisionLoss, RationalFixedPoint,
-                     ZeroDenominatorEntry)
+from .errors import (IETLabError, NoRealFixedPoint, PrecisionLoss,
+                     RationalFixedPoint, ZeroDenominatorEntry)
 from .intmat import IntMatrix
 from .numbers import Quadratic, as_int, is_exact, quad
 
@@ -99,7 +99,11 @@ def _float(x, what: str) -> float:
 
 def _term_matrices(seq: Sequence) -> list[IntMatrix]:
     """The integer matrix (ac, ad - 1; c^2, cd) of each term
-    y -> a/c - c^{-2} / (y + d/c) of the fraction."""
+    y -> a/c - c^{-2} / (y + d/c) of the fraction; every shape is checked
+    before any determinant."""
+    if any(not isinstance(m, MoebiusMatrix)
+           and (len(m), *map(len, m)) != (2, 2, 2) for m in seq):
+        raise IETLabError("rotation numbers need 2x2 matrices")
     mats = [m if isinstance(m, MoebiusMatrix) else MoebiusMatrix.from_rows(m)
             for m in seq]
     if any(m.c == 0 for m in mats):

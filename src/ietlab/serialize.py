@@ -15,7 +15,6 @@ from typing import Sequence, Union
 
 from .iet import IETSpec, Orbit, validate
 from .induction import MatrixSequence
-from .intmat import mat
 from .numbers import Quadratic, as_int, quad
 
 
@@ -88,9 +87,12 @@ def matrix_to_json(m) -> list:
     return [[str(v) for v in row] for row in m]
 
 
-def matrix_from_json(rows, nonnegative: bool = True) -> tuple:
-    return mat([[as_int(v) for v in _array(row, "a matrix row")]
-                for row in _array(rows, "a matrix")], nonnegative)
+def matrix_from_json(rows) -> tuple:
+    m = tuple(tuple(as_int(v) for v in _array(row, "a matrix row"))
+              for row in _array(rows, "a matrix"))
+    if not m or not m[0] or any(len(row) != len(m[0]) for row in m):
+        raise ValueError("ragged or empty matrix")
+    return m
 
 
 def sequence_to_dict(seq: MatrixSequence) -> dict:
@@ -103,26 +105,24 @@ def sequence_to_dict(seq: MatrixSequence) -> dict:
     return out
 
 
-def sequence_from_dict(data: dict,
-                       nonnegative: bool = True) -> MatrixSequence:
+def sequence_from_dict(data: dict) -> MatrixSequence:
     if not isinstance(data, dict) or "matrices" not in data:
         raise ValueError("a matrix sequence must be a JSON array of "
                          "matrices or an object with a 'matrices' array")
-    matrices = tuple(matrix_from_json(m, nonnegative)
+    matrices = tuple(matrix_from_json(m)
                      for m in _array(data["matrices"], "matrices"))
     tags = tuple(_array(data.get("tags") or [], "tags")
                  or ("?",) * len(matrices))
     return MatrixSequence(matrices, tags)
 
 
-def load_matrices(path: str, nonnegative: bool = True) -> MatrixSequence:
-    """A matrix sequence file; signed entries are refused unless
-    `nonnegative` is False."""
+def load_matrices(path: str) -> MatrixSequence:
+    """A matrix sequence file; its entries may be signed."""
     with open(path) as fh:
         data = json.load(fh)
     if isinstance(data, list):       # bare array of matrices
         data = {"matrices": data}
-    return sequence_from_dict(data, nonnegative)
+    return sequence_from_dict(data)
 
 
 def _csv(header: Sequence[str], rows) -> str:

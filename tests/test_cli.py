@@ -138,6 +138,23 @@ def test_signed_matrices_are_refused_outside_rotation(subcommand, tmp_path,
     assert "negative entry" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("matrices, k, code, message", [
+    ([[[2, 1], [1, 1]], [[2, -1], [1, 1]]], 1, 0, ""),
+    ([[[2, 1], [1, 1]], [[2, -1], [1, 1]]], 3, 1, "need 3 matrices, have 2"),
+    ([[[1, 0], [0, 0]], [[2, -1], [1, 1]]], 2, 1, "row 1 is zero"),
+], ids=["negative-past-k", "k-past-the-end", "zero-line-first"])
+def test_simplex_reads_the_first_k_matrices_in_order(matrices, k, code,
+                                                     message, tmp_path,
+                                                     capsys):
+    # a matrix is checked where the simplex reads it, so a refusal comes
+    # from the first of the k matrices that breaks a rule
+    path = tmp_path / "matrices.json"
+    path.write_text(json.dumps(matrices))
+    assert main(["simplex", "--matrices", str(path), "--k", str(k)]) == code
+    if code:
+        assert message in _one_line_error(capsys)
+
+
 def test_radicand_above_the_limit_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "huge.json"
     big = {"a": "0", "b": "1/2", "d": 10 ** 20 + 1}

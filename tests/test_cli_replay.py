@@ -8,7 +8,8 @@ rewrites the hashes with
 
     PYTHONPATH=src python tests/test_cli_replay.py
 
-and the command lines whose hash changed are listed in CHANGES.md.
+which prints each command line whose hash it changed, and how many, for
+CHANGES.md.
 """
 
 import contextlib
@@ -16,7 +17,6 @@ import hashlib
 import io
 import json
 import os
-import sys
 from pathlib import Path
 
 from ietlab.cli import main
@@ -54,11 +54,16 @@ def _regenerate() -> None:
     os.environ.pop("IETLAB_OUT_DIR", None)
     os.chdir(DATA)
     corpus = load_corpus()
+    changed = 0
     for e in corpus:
-        e["sha256"] = replay_digest(e["argv"])
+        digest = replay_digest(e["argv"])
+        if digest != e["sha256"]:
+            changed += 1
+            print("changed: " + " ".join(e["argv"]))
+        e["sha256"] = digest
     lines = ",\n".join(" " + json.dumps(e) for e in corpus)
     CORPUS.write_text(f"[\n{lines}\n]\n")
-    print(f"{len(corpus)} hashes written to {CORPUS.name}", file=sys.stderr)
+    print(f"{changed} of {len(corpus)} hashes changed in {CORPUS.name}")
 
 
 if __name__ == "__main__":

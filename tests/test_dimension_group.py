@@ -33,6 +33,11 @@ def test_collatz_wielandt_bounds_perron_root():
         collatz_wielandt(FIB2, (0, 0))
     # zero coordinates are excluded from the minimum
     assert collatz_wielandt(((1, 1), (1, 1)), (1, 0)) == 1
+    # a float vector: dyadic coordinates make the float products exact, and
+    # a float quotient is the exact one correctly rounded
+    exact = collatz_wielandt(FIB2, (Fraction(3, 4), Fraction(1, 2)))
+    assert exact == Fraction(5, 3)
+    assert collatz_wielandt(FIB2, (0.75, 0.5)) == float(exact)
 
 
 def test_cyclic_structure_period_two():
@@ -430,12 +435,32 @@ def test_cw_is_lower_bound_on_any_positive_vector(n, data):
     assert float(collatz_wielandt(m, x)) <= res.eigenvalue + 1e-9
 
 
+SIGNED = ((1, -1), (1, 1))
+NEGATIVE = "negative entry in nonnegative matrix"
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: perron_frobenius(FIB2, tol=0), ValueError,
      "tol must be positive"),
     (lambda: state_simplex(MatrixSequence((), ()), 0),
      errors.SequenceTooShort, "empty sequence"),
-], ids=["pf-tol-0", "simplex-empty"])
+    # eigenvalues 1 +- 10**200: the bracket cannot close in PF_MAX_ITER
+    (lambda: perron_frobenius(((1, 10 ** 400), (1, 1))),
+     errors.MaxIterExceeded, "bracket wider than 1e-12 after 2000 "
+     "iterations"),
+    # a signed matrix was primitive, a ZeroDivisionError in
+    # perron_frobenius and a simplex of diameter -2
+    (lambda: is_primitive(SIGNED), ValueError, NEGATIVE),
+    (lambda: cyclic_structure(SIGNED), ValueError, NEGATIVE),
+    (lambda: perron_frobenius(SIGNED), ValueError, NEGATIVE),
+    (lambda: collatz_wielandt(SIGNED, (1, 1)), ValueError, NEGATIVE),
+    (lambda: state_simplex(const_seq(SIGNED, 2), 2), ValueError, NEGATIVE),
+    (lambda: simplex_diameters(const_seq(SIGNED, 2)), ValueError, NEGATIVE),
+    (lambda: estimate_state_dim(const_seq(SIGNED, 2), 2), ValueError,
+     NEGATIVE),
+], ids=["pf-tol-0", "simplex-empty", "pf-max-iter", "primitive-signed",
+        "cyclic-signed", "pf-signed", "cw-signed", "simplex-signed",
+        "diameters-signed", "state-dim-signed"])
 def test_dimension_group_refusals(call, error, message):
     with pytest.raises(error) as exc_info:
         call()
@@ -450,3 +475,20 @@ def test_verdict_takes_its_tolerance_by_keyword_only():
         strict_ergodicity_verdict(spec, 40, 12, 3)
     assert (strict_ergodicity_verdict(spec, 40, 12, tol=1e-8)
             == strict_ergodicity_verdict(spec, 40, 12))
+
+
+@pytest.mark.parametrize("spec, diagnostic", [
+    (validate((Fraction(1, 2), Fraction(1, 2)), (2, 1), (-1, 1)),
+     "FlipUnsupported: "),
+    (validate((Fraction(1, 3), Fraction(2, 3)), (1, 2)), "Reducible: "),
+    (validate((Fraction(1),), (1,)),
+     "Reducible: Rauzy induction needs at least two intervals"),
+    (validate((Fraction(1, 3), Fraction(2, 3)), (2, 1)),
+     "KeaneViolation at step 1: "),
+], ids=["flip", "reducible", "one-interval", "keane"])
+def test_verdict_diagnostic_names_a_step_only_when_there_is_one(spec,
+                                                               diagnostic):
+    verdict = strict_ergodicity_verdict(spec)
+    assert verdict.status == "Inconclusive" and verdict.certificate is None
+    (diag,) = verdict.diagnostics
+    assert diag.startswith(diagnostic) and "None" not in diag

@@ -1,7 +1,12 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -391,6 +396,33 @@ def test_factor_zero_one_elementary_case():
 def test_factor_zero_one_rejects_zero_line():
     with pytest.raises(errors.ZeroLine):
         factor_zero_one(((1, 0), (0, 0)))
+
+
+def test_signed_matrices_are_refused_at_once():
+    # factor_zero_one's factors once grew until MemoryError, so the calls
+    # run in a child under a 1 GiB address-space cap (`ulimit -v`)
+    code = textwrap.dedent("""
+        import resource, time
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+        from ietlab.induction import (MatrixSequence, factor_zero_one,
+                                      to_bratteli)
+        signed = ((2, -1), (1, 1))
+        for call in (lambda: factor_zero_one(((-1,),)),
+                     lambda: factor_zero_one(signed),
+                     lambda: to_bratteli(MatrixSequence(
+                         (((1, 1), (0, 1)), signed), ("x", "x")))):
+            start = time.perf_counter()
+            try:
+                call()
+            except ValueError as exc:
+                print(exc, time.perf_counter() - start < 1)
+    """)
+    src = str(Path(__file__).parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (
+        0, "negative entry in nonnegative matrix True\n" * 3), proc.stderr
 
 
 @settings(max_examples=60)

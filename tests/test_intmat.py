@@ -33,14 +33,14 @@ def test_elementary_right_factor_matches_dense(case):
     a, n, (i, j) = case
     e = intmat.elementary(n, i, j)
     assert e is intmat.elementary(n, i, j)
-    copy = intmat.mat(e)
+    copy = tuple(tuple(r) for r in e)
     assert copy == e and copy is not e
     t = intmat.transpose(e)
     assert t == tuple(zip(*e)) and t is intmat.elementary(n, j, i)
     for b in (e, copy, t, intmat.transpose(copy)):
         assert intmat.mat_mul(a, b) == dense(a, b)
     # an elementary left factor takes the dense path
-    assert intmat.mat_mul(e, intmat.mat(a[:1] * n)) == dense(e, a[:1] * n)
+    assert intmat.mat_mul(e, a[:1] * n) == dense(e, a[:1] * n)
 
 
 @settings(max_examples=100)
@@ -64,7 +64,7 @@ def test_sequence_functions_agree_with_dense_products():
         body = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
         ms = tuple(body * rng.randint(3, 6) + [rng.choice(pool)
                                                for _ in range(rng.randint(0, 9))])
-        copies = tuple(intmat.mat(m) for m in ms)
+        copies = tuple(tuple(tuple(r) for r in m) for m in ms)
         fast = MatrixSequence(ms, ("?",) * len(ms))
         slow = MatrixSequence(copies, ("?",) * len(ms))
         assert (detect_stationarity(fast, 8, 2)
@@ -81,7 +81,11 @@ def test_sequence_functions_agree_with_dense_products():
     (lambda: intmat.mat_mul(((1, 2),), ((1, 2),)), "dimension mismatch"),
     (lambda: intmat.mat_vec(((1, 2),), (1,)), "dimension mismatch"),
     (lambda: intmat.product([]), "empty product"),
-], ids=["mat-mul", "mat-vec", "empty-product"])
+    (lambda: intmat.check_nonnegative(((1, 0), (0, -1))),
+     "negative entry in nonnegative matrix"),
+    (lambda: intmat.check_no_zero_line(((1, 0), (0, -1))),
+     "negative entry in nonnegative matrix"),
+], ids=["mat-mul", "mat-vec", "empty-product", "negative", "negative-line"])
 def test_intmat_refusals(call, message):
     with pytest.raises(ValueError) as exc_info:
         call()

@@ -273,8 +273,17 @@ def test_same_field_surds_share_tails_iff_cycles_meet():
     # the complete quotients of sqrt(94) repeat with period 16
     (lambda: modular_equivalent(quad(0, 1, 94), PHI, depth=15),
      errors.PrecisionLoss, "no cycle within 15 complete quotients"),
+    # the shape of every matrix is checked before any determinant
+    (lambda: rotation_number([((1, 0, 0), (0, 1, 0), (0, 0, 1))]),
+     errors.IETLabError, "rotation numbers need 2x2 matrices"),
+    (lambda: detect_quadratic_surd([((5, 5), (5, 5)), ((1, 0, 0), (0, 1, 0),
+                                                        (0, 0, 1))]),
+     errors.IETLabError, "rotation numbers need 2x2 matrices"),
+    (lambda: rotation_number([FIB, ((1, 0), (0,))]), errors.IETLabError,
+     "rotation numbers need 2x2 matrices"),
 ], ids=["rotation-empty", "rotation-depth-0", "modular-depth-4",
-        "modular-cycle-past-depth"])
+        "modular-cycle-past-depth", "rotation-3x3", "surd-3x3-after-det-0",
+        "rotation-ragged"])
 def test_rotation_refusals(call, error, message):
     with pytest.raises(error) as exc_info:
         call()

@@ -81,6 +81,14 @@ def test_load_matrices_accepts_bare_array(tmp_path):
     assert seq.matrices == (((2, 1), (1, 1)),)
 
 
+def test_load_matrices_reads_signed_entries(tmp_path):
+    # the sign rule belongs to the functions that need it, not the loader
+    path = tmp_path / "signed.json"
+    path.write_text('{"matrices": [[["2", "-1"], [-3, 1]]], "tags": ["t"]}')
+    seq = load_matrices(str(path))
+    assert (seq.matrices, seq.tags) == ((((2, -1), (-3, 1)),), ("t",))
+
+
 def test_orbit_csv_columns():
     spec = validate((Fraction(1, 2), Fraction(1, 2)), (2, 1))
     text = orbit_to_csv(orbit(spec, Fraction(1, 4), 2))
