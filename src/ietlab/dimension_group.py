@@ -71,6 +71,8 @@ def _period_levels(p: IntMatrix) -> tuple[int, list[int]]:
     period and raises."""
     intmat.check_nonnegative(p)
     n = len(p)
+    if any(len(row) != n for row in p):
+        raise ValueError("P must be square")
     level = [0] + [None] * (n - 1)
     queue = [0]
     for u in queue:

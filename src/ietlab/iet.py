@@ -15,8 +15,10 @@ where v_i = [left, ...) goes onto the target [lo, hi):
   the map is a bijection of [0, 1).
 
 One orbit loop, `_record`, reads those rows.  `evaluate`, `orbit`,
-`keane_condition` and the census behind `count_visits` all step through
-it; the census records its orbit a block at a time and bins each block.
+`keane_condition` and `count_visits` all step through it; `count_visits`
+records its orbit a block at a time and bins each block.  The census,
+`count_returns`, reads the same rows a piece of a first-return tower at a
+time and steps through `_record` only where no piece applies.
 Float mode rounds each image once, in that one addition or subtraction,
 and then clamps it into [lo, hi): an image that rounded onto hi or past it
 becomes nextafter(hi, 0), one that rounded below lo becomes lo.  So every
@@ -39,6 +41,8 @@ from .numbers import Quadratic, as_int, is_exact
 FLOAT_SUM_TOL = 1e-12
 KEANE_FLOAT_TOL = 1e-10  # collision tolerance, below drift of 1e4 isometry steps
 _BLOCK = 8192            # orbit points recorded at a time on long runs
+_WINDOW = Fraction(1, 50)  # length of the census window J, see count_returns
+_SLIVER = 1e-12          # float tower pieces at most this wide are dropped
 
 
 def is_irreducible(pi: Sequence[int]) -> bool:
@@ -264,6 +268,143 @@ def count_visits(spec: IETSpec, x0, n_steps: int, edges) -> list[int]:
             below = upto
         counts[last] += len(pts) - below
     return counts
+
+
+def count_returns(spec: IETSpec, x0, n_steps: int, edges) -> list[int]:
+    """The counts of `count_visits`, taken through the first-return tower
+    over the window J = [x0 - l/2, x0 + l/2) cut to [0, 1), l = `_WINDOW`.
+
+    J splits into pieces, each climbing floors outside J until one lies in
+    J: on a piece the return time r, the bin of every floor and the map
+    y -> sign*y + tau onto the return floor are constant.  A point strictly
+    inside a piece takes the whole return at once, and a run of returns
+    that comes back to a point repeats as often as it fits.  Any other
+    point steps through `_record`, and the last r or fewer iterates go to
+    `count_visits`.  The tower is built where the walk lands (`_grow`), so
+    thin pieces with long returns that no point meets cost nothing; past
+    n_steps floors built, the rest of the run goes to `count_visits`.
+
+    A float return is one rounding, not r, and is clamped into the return
+    floor as `_record` clamps a step; a float piece at most `_SLIVER` wide
+    is dropped, so its points step through `_record`.
+    """
+    edges = [_scalar(spec, e) for e in edges]
+    inner, x = edges[1:-1], _start(spec, x0)
+    float_mode = spec.mode == "float"
+    tower = _window_tower(spec, x, inner)
+    bases, ends, pieces = tower.bases, tower.ends, tower.pieces
+    counts = [0] * (len(edges) - 1)
+    br, nxt, left, budget = bisect_right, math.nextafter, n_steps, n_steps
+    # Brent's cycle search over the returns: a marked return point, moved
+    # on after 1, 2, 4, ... returns, and the pieces taken since it
+    mark, path, lap = -1, [], 1
+    while left:
+        i = br(bases, x) - 1
+        if i < 0 or not bases[i] < x < ends[i]:
+            mark, path, lap = -1, [], 1
+            counts[br(inner, x)] += 1
+            x = _record(spec, x, 1)[0][1]
+            left -= 1
+            continue
+        piece = pieces[i]
+        lo, hi, sign, tau, _, r, _ = piece
+        if not r:
+            budget -= _grow(spec, tower, i, inner, budget)
+            if budget < 0:
+                break
+            continue
+        if x == mark:                  # back at the mark: repeat the cycle
+            laps = left // sum(p[5] for p in path)
+            for p in path:
+                p[6] += laps
+                left -= laps * p[5]
+            mark, path = -1, []
+            continue
+        if len(path) == lap:
+            mark, path, lap = x, [], 2 * lap
+        if r > left:
+            break
+        path.append(piece)
+        piece[6] += 1
+        left -= r
+        x = sign * x + tau
+        if float_mode:
+            if x >= hi:
+                x = nxt(hi, 0.0)
+            elif x < lo:
+                x = lo
+    for piece in pieces:
+        for b in piece[4]:
+            counts[b] += piece[6]
+    tail = count_visits(spec, x, left, edges)
+    return [c + t for c, t in zip(counts, tail)]
+
+
+class _Tower(NamedTuple):
+    """A first-return tower over J = [j0, j1), built as far as `_grow` has
+    taken it: the points where floors split, the open bases (u, v) of the
+    pieces, in order, and each piece as [a, b, sign, tau, bins, r, visits]."""
+    j0: object
+    j1: object
+    marks: list
+    bases: list
+    ends: list
+    pieces: list
+
+
+def _window_tower(spec: IETSpec, x, inner) -> _Tower:
+    """The unbuilt tower over the window around x: one piece, J itself."""
+    half = _WINDOW / 2 if spec.mode == "exact" else float(_WINDOW) / 2
+    j0, j1 = max(x - half, spec.beta[0]), min(x + half, spec.beta[-1])
+    marks = sorted(set(spec.cuts).union(inner, (j0, j1)))
+    return _Tower(j0, j1, marks, [j0], [j1], [[j0, j1, 1, 0 * j0, [], 0, 0]])
+
+
+def _grow(spec: IETSpec, tower: _Tower, i: int, inner,
+          max_floors: int) -> int:
+    """Build piece i of a tower one stage further, by forward interval
+    splitting; return the floors it climbed, or max_floors + 1 past them.
+
+    A piece [a, b, sign, tau, bins, r, visits] carries its open floor
+    (a, b), first its base, the map y -> sign*y + tau from base to floor,
+    and the bin of each floor climbed; r is 0 until the piece is closed.
+    Where a mark (a cut, an inner bin edge, j0 or j1) lies strictly inside
+    the floor, the piece splits there into two, and a float half at most
+    `_SLIVER` wide is dropped.  Otherwise the floor has one bin and one
+    branch, so every point strictly inside the base follows it, and it
+    climbs by that branch.  A floor in J after step 0 closes the piece,
+    with r its return time and [a, b) its return floor.
+    """
+    j0, j1, marks, bases, ends, pieces = tower
+    a, b, sign, tau, bins = pieces[i][:5]
+    rows, cuts, br = spec.branches, spec.cuts, bisect_right
+    for floors in range(max_floors + 1):
+        if bins and j0 <= a and b <= j1:
+            pieces[i] = [a, b, sign, tau, bins, len(bins), 0]
+            return floors
+        k = br(marks, a)
+        if k < len(marks) and marks[k] < b:
+            c, u, v = marks[k], bases[i], ends[i]
+            s = min(max(sign * (c - tau), u), v)   # the base point over c
+            lower, upper = [a, c, sign, tau, bins, 0, 0], [c, b, sign, tau,
+                                                           bins[:], 0, 0]
+            halves = [(u, s, lower), (s, v, upper)]
+            if sign < 0:
+                halves = [(u, s, upper), (s, v, lower)]
+            if spec.mode == "float":
+                halves = [h for h in halves if h[1] - h[0] > _SLIVER
+                          and h[2][1] - h[2][0] > _SLIVER]
+            bases[i:i + 1] = [h[0] for h in halves]
+            ends[i:i + 1] = [h[1] for h in halves]
+            pieces[i:i + 1] = [h[2] for h in halves]
+            return floors
+        bins.append(br(inner, a))
+        step, shift = rows[br(cuts, a)][:2]
+        if step > 0:
+            a, b, tau = a + shift, b + shift, tau + shift
+        else:
+            a, b, sign, tau = shift - b, shift - a, -sign, shift - tau
+    return max_floors + 1
 
 
 class KeaneStatus(Enum):

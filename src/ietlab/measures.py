@@ -1,6 +1,10 @@
 """Empirical invariant measures: Birkhoff averages, orbit histograms and a
 census of distinct measures seen from many starting points.
 
+Each histogram comes from `iet.count_returns`, through the first-return
+tower over a short window around its start, so an N-step orbit costs about
+N/50 returns; `birkhoff_average` counts its orbit pointwise.
+
 The census is an estimate, not a certification: empirical measures from
 N-step orbits are clustered by L1 distance and the cluster count is compared
 against the closed-form bounds on the number of ergodic invariant measures.
@@ -16,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .dimension_group import measure_bounds
 from .errors import DomainError
-from .iet import IETSpec, count_visits
+from .iet import IETSpec, count_returns, count_visits
 
 DEFAULT_BINS = 64
 DEFAULT_CLUSTER_TOL = 0.05
@@ -68,7 +72,7 @@ def empirical_measure(spec: IETSpec, x0, n_steps: int,
     if n_steps < 1:
         raise DomainError("need at least one iterate")
     edges = _bin_edges(spec, bins)
-    counts = count_visits(spec, x0, n_steps, edges)
+    counts = count_returns(spec, x0, n_steps, edges)
     masses = tuple(c / n_steps for c in counts)
     return EmpiricalMeasure(tuple(map(float, edges)), masses, float(x0),
                             n_steps)

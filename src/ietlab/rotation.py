@@ -63,8 +63,14 @@ class MoebiusMatrix(_MoebiusEntries):
 
     @classmethod
     def from_rows(cls, rows) -> "MoebiusMatrix":
+        _check_2x2(rows)
         (a, b), (c, d) = rows
         return cls(as_int(a), as_int(b), as_int(c), as_int(d))
+
+
+def _check_2x2(rows) -> None:
+    if (len(rows), *map(len, rows)) != (2, 2, 2):
+        raise IETLabError("rotation numbers need 2x2 matrices")
 
 
 class RotationNumber(NamedTuple):
@@ -101,9 +107,9 @@ def _term_matrices(seq: Sequence) -> list[IntMatrix]:
     """The integer matrix (ac, ad - 1; c^2, cd) of each term
     y -> a/c - c^{-2} / (y + d/c) of the fraction; every shape is checked
     before any determinant."""
-    if any(not isinstance(m, MoebiusMatrix)
-           and (len(m), *map(len, m)) != (2, 2, 2) for m in seq):
-        raise IETLabError("rotation numbers need 2x2 matrices")
+    for m in seq:
+        if not isinstance(m, MoebiusMatrix):
+            _check_2x2(m)
     mats = [m if isinstance(m, MoebiusMatrix) else MoebiusMatrix.from_rows(m)
             for m in seq]
     if any(m.c == 0 for m in mats):

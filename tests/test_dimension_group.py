@@ -458,9 +458,17 @@ NEGATIVE = "negative entry in nonnegative matrix"
     (lambda: simplex_diameters(const_seq(SIGNED, 2)), ValueError, NEGATIVE),
     (lambda: estimate_state_dim(const_seq(SIGNED, 2), 2), ValueError,
      NEGATIVE),
+    # a 2x3 matrix was primitive with period 1 and rho 3.0; a 2x1 matrix
+    # raised a bare IndexError
+    (lambda: is_primitive(((1, 1, 1), (1, 1, 1))), ValueError,
+     "P must be square"),
+    (lambda: cyclic_structure(((1, 1, 1), (1, 1, 1))), ValueError,
+     "P must be square"),
+    (lambda: is_primitive(((1,), (1,))), ValueError, "P must be square"),
 ], ids=["pf-tol-0", "simplex-empty", "pf-max-iter", "primitive-signed",
         "cyclic-signed", "pf-signed", "cw-signed", "simplex-signed",
-        "diameters-signed", "state-dim-signed"])
+        "diameters-signed", "state-dim-signed", "primitive-2x3",
+        "cyclic-2x3", "primitive-2x1"])
 def test_dimension_group_refusals(call, error, message):
     with pytest.raises(error) as exc_info:
         call()

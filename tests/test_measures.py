@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from ietlab import errors
-from ietlab.iet import count_visits, evaluate, is_irreducible, orbit, validate
+from ietlab import errors, iet
+from ietlab.iet import (count_returns, count_visits, evaluate, inverse,
+                        is_irreducible, orbit, validate)
 from ietlab.measures import (_bin_edges, birkhoff_average, empirical_measure,
                              estimate_ergodic_count)
 from ietlab.numbers import golden_alpha, quad
@@ -212,16 +213,21 @@ def test_exact_golden_orbit_and_measure_values():
                             (Fraction(1, 5), 1 - a), 500) == 0.182
 
 
-def _visits_by_bisect(spec, x0, n_steps, edges):
-    # one bisect per iterate; the first bin takes points below its edge,
+def _bins_by_bisect(points, edges):
+    # one bisect per point; the first bin takes points below its edge,
     # the last bin points at or past its edge
     counts = [0] * (len(edges) - 1)
-    x = x0
-    for _ in range(n_steps):
+    for x in points:
         b = bisect_right(edges, x) - 1
         counts[min(max(b, 0), len(counts) - 1)] += 1
-        x = evaluate(spec, x)
     return counts
+
+
+def _visits_by_bisect(spec, x0, n_steps, edges):
+    points = [x0]
+    for _ in range(n_steps - 1):
+        points.append(evaluate(spec, points[-1]))
+    return _bins_by_bisect(points[:n_steps], edges)
 
 
 @pytest.mark.parametrize("flips", [False, True], ids=["oriented", "flips"])
@@ -279,3 +285,104 @@ def test_count_visits_exact_matches_the_bisect_reference():
                                                  for k in (1, 300)]:
                 assert (count_visits(spec, x0, n, edges)
                         == _visits_by_bisect(spec, x0, n, edges)), (spec, x0, n)
+
+
+def _full_tower(spec, x0, edges):
+    """The window tower of x0 with every piece built, and the floors it
+    climbed, at most 10^5."""
+    inner = edges[1:-1]
+    tower, floors = iet._window_tower(spec, x0, inner), 0
+    while not all(p[5] for p in tower.pieces):
+        i = next(i for i, p in enumerate(tower.pieces) if not p[5])
+        floors += iet._grow(spec, tower, i, inner, 10 ** 5 - floors)
+        assert floors <= 10 ** 5, (spec, x0)
+    return tower, floors
+
+
+def test_count_returns_exact_matches_the_orbit():
+    # against one bisect per orbit point; starts on cuts, on bin edges, at 0 and on preimages of cuts, which are
+    # piece ends; the orbits of the hundredths spec land on the ends j0 and
+    # j1 of their windows; n runs to one step before, at and after a return
+    a = golden_alpha()
+    s3 = quad(0, 1, 3)
+    specs = [validate((1 - a, a), (2, 1)),
+             validate(((s3 - 1) / 4, Fraction(1, 5), 2 - s3,
+                       Fraction(-19, 20) + s3 * Fraction(3, 4)), (4, 3, 2, 1)),
+             validate((quad(-1, 1, 2), Fraction(1, 4), quad(Fraction(7, 4),
+                                                            -1, 2)),
+                      (3, 1, 2), (1, -1, 1)),
+             validate((Fraction(13, 100), Fraction(29, 100), Fraction(17, 100),
+                       Fraction(41, 100)), (3, 1, 4, 2), (1, -1, 1, 1))]
+    for spec in specs:
+        edges = sorted({Fraction(k, 8) for k in range(9)} | set(spec.cuts))
+        preimages = [evaluate(inverse(spec), c) for c in spec.cuts]
+        starts = (list(spec.cuts) + edges[1:-1:2] + preimages
+                  + [Fraction(0), Fraction(1, 10), Fraction(11, 100)])
+        for x0 in starts:
+            tower, floors = _full_tower(spec, x0, edges)
+            j0, j1 = tower.j0, tower.j1
+            pts = orbit(spec, x0, 1500).points
+            back = max(k for k in range(1, 1500) if j0 <= pts[k] < j1)
+            assert floors < back - 1, (spec, x0)   # within the floor cap
+            if x0 in preimages:
+                assert x0 in tower.bases + tower.ends, (spec, x0)
+            if spec is specs[-1] and x0 == Fraction(1, 10):
+                assert j1 in pts
+            if spec is specs[-1] and x0 == Fraction(11, 100):
+                assert j0 in pts
+            for n in (1, back - 1, back, back + 1):
+                assert (count_returns(spec, x0, n, edges)
+                        == _bins_by_bisect(pts[:n], edges)), (spec, x0, n)
+
+
+def _seed2_flip_spec():
+    # a float 4-IET with flips whose tower over [0.0665, 0.0865), built
+    # without dropping slivers, passes 10^6 floors
+    return validate((0.19198200396024595, 0.09481955849700834,
+                     0.12441257720410187, 0.5887858603386438),
+                    (3, 2, 4, 1), (1, -1, -1, 1), mode="float")
+
+
+def _float_tower_corpus():
+    rng = random.Random("towers")
+    specs = [_random_float_4iet(rng, flips) for flips in (False, True) * 5]
+    cases = [(spec, rng.random()) for spec in specs for _ in range(4)]
+    return cases + [(_seed2_flip_spec(), 0.0765)]
+
+
+def test_count_returns_float_matches_count_visits():
+    for spec, x0 in _float_tower_corpus():
+        edges = _bin_edges(spec, 64)
+        assert (count_returns(spec, x0, 20000, edges)
+                == count_visits(spec, x0, 20000, edges)), (spec, x0)
+
+
+def test_float_tower_drops_slivers():
+    for spec, x0 in _float_tower_corpus():
+        tower, floors = _full_tower(spec, x0, _bin_edges(spec, 64))
+        for u, v, p in zip(tower.bases, tower.ends, tower.pieces):
+            assert v - u > iet._SLIVER and p[1] - p[0] > iet._SLIVER, (spec, x0)
+    assert floors < 1000    # the last case: the seed-2 flip spec
+
+
+def test_count_returns_past_the_floor_cap_is_count_visits(monkeypatch):
+    # the first piece over [0.29, 0.31) climbs more than 10 floors, so a
+    # 10-step run builds 11 floors and counts all 10 steps by count_visits
+    spec, x0 = golden_float(), 0.3
+    edges = _bin_edges(spec, 64)
+    grow, visits, floors, calls = iet._grow, iet.count_visits, [], []
+
+    def grow_spy(*args):
+        floors.append(grow(*args))
+        return floors[-1]
+
+    def visits_spy(*args):
+        calls.append(args[1:3])
+        return visits(*args)
+
+    monkeypatch.setattr(iet, "_grow", grow_spy)
+    monkeypatch.setattr(iet, "count_visits", visits_spy)
+    assert (count_returns(spec, x0, 10, edges)
+            == count_visits(spec, x0, 10, edges))
+    assert sum(floors) == 11
+    assert calls == [(x0, 10)]

@@ -281,9 +281,13 @@ def test_same_field_surds_share_tails_iff_cycles_meet():
      errors.IETLabError, "rotation numbers need 2x2 matrices"),
     (lambda: rotation_number([FIB, ((1, 0), (0,))]), errors.IETLabError,
      "rotation numbers need 2x2 matrices"),
+    (lambda: MoebiusMatrix.from_rows(((1, 2, 3), (4, 5, 6))),
+     errors.IETLabError, "rotation numbers need 2x2 matrices"),
+    (lambda: MoebiusMatrix.from_rows(((2, 1),)), errors.IETLabError,
+     "rotation numbers need 2x2 matrices"),
 ], ids=["rotation-empty", "rotation-depth-0", "modular-depth-4",
         "modular-cycle-past-depth", "rotation-3x3", "surd-3x3-after-det-0",
-        "rotation-ragged"])
+        "rotation-ragged", "from-rows-2x3", "from-rows-1x2"])
 def test_rotation_refusals(call, error, message):
     with pytest.raises(error) as exc_info:
         call()
