@@ -19,9 +19,9 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from . import intmat
-from .errors import (FlipUnsupported, KeaneViolation, MaxIterExceeded,
-                     NotIrreducible, NotPrimitive, PrecisionLoss, Reducible,
-                     SequenceTooShort, ZeroVector)
+from .errors import (DomainError, FlipUnsupported, KeaneViolation,
+                     MaxIterExceeded, NotIrreducible, NotPrimitive,
+                     PrecisionLoss, Reducible, SequenceTooShort, ZeroVector)
 from .iet import IETSpec
 from .induction import (MAX_BLOCK, MatrixSequence, StationarityWitness,
                         detect_stationarity, induce)
@@ -169,7 +169,7 @@ def perron_frobenius(p: IntMatrix, tol: float = PF_TOL) -> PFResult:
     n = len(p)
     x = (1,) * n
     history = []
-    tol_f = Fraction(tol).limit_denominator(10 ** 18)
+    tol_f = Fraction(tol)
     for it in range(1, PF_MAX_ITER + 1):
         px = intmat.mat_vec(p, x)
         ratios = [Fraction(num, den) for num, den in zip(px, x)]
@@ -215,6 +215,8 @@ class StateSpaceApprox(NamedTuple):
 def _running_products(seq: MatrixSequence, k: int):
     """Yield V_j = M_1^T ... M_j^T for j = 0..k; the columns of V_j span
     the j-th simplex."""
+    if k < 0:
+        raise DomainError("simplex depth must be nonnegative")
     if k > len(seq.matrices):
         raise SequenceTooShort(f"need {k} matrices, have {len(seq.matrices)}")
     if not seq.matrices:

@@ -430,6 +430,8 @@ def keane_condition(spec: IETSpec, depth: int) -> KeaneVerdict:
     Inconclusive because rounding cannot distinguish a true hit from a
     near miss.
     """
+    if depth < 0:
+        raise DomainError("Keane depth must be nonnegative")
     disc = list(spec.cuts)
     if not disc:
         return KeaneVerdict(KeaneStatus.HOLDS, depth)

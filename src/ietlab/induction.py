@@ -19,8 +19,8 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from . import intmat
-from .errors import (BadCutPoints, FlipUnsupported, KeaneViolation, Reducible,
-                     SequenceTooShort)
+from .errors import (BadCutPoints, DomainError, FlipUnsupported,
+                     KeaneViolation, Reducible, SequenceTooShort)
 from .iet import IETSpec, is_irreducible, validate
 from .intmat import IntMatrix
 from .numbers import Quadratic, int_sign, quad
@@ -49,23 +49,24 @@ class StationarityWitness(NamedTuple):
 def _integer_pairs(lengths) -> tuple[int, list[tuple[int, int]]]:
     """(d, pairs) with lengths[k] = (A + B*sqrt(d))/D for pairs[k] = (A, B),
     ints, and one D, the lcm of every denominator.  d is 1 when every
-    length is rational, so every B is 0."""
-    parts = [(x.p, x.r, x.q) if isinstance(x, Quadratic)
-             else (x.numerator, 0, x.denominator) for x in lengths]
+    length is rational, so every B is 0.  A float is read as the dyadic
+    rational it is, Fraction(x): a float spec is a rational one."""
+    parts = [(x.p, x.q, x.r) if isinstance(x, Quadratic)
+             else (*x.as_integer_ratio(), 0) for x in lengths]
     d = next((x.d for x in lengths if isinstance(x, Quadratic)), 1)
-    den = math.lcm(*(q for _, _, q in parts))
-    return d, [(p * (den // q), r * (den // q)) for p, r, q in parts]
+    den = math.lcm(*(q for _, q, _ in parts))
+    return d, [(p * (den // q), r * (den // q)) for p, q, r in parts]
 
 
 class _RauzyState:
     """Two-row induction state over letters 1..n.
 
-    Float lengths are floats, scaled to sum 1 after every step, as their
-    rounding depends on the scale.  Exact lengths are int pairs (A, B) for
-    (A + B*sqrt(d))/D, with one D for the whole spec: a step only
-    subtracts, so D never changes and each comparison is one integer sign
-    test.  They are turned back into numbers, scaled to sum 1, only when
-    read."""
+    Lengths are int pairs (A, B) for (A + B*sqrt(d))/D, with one D for the
+    whole spec: a step only subtracts, so D never changes and each
+    comparison is one integer sign test.  A float spec enters as its exact
+    binary value (d = 1), so float induction is exact induction of the
+    floats the spec holds.  Lengths are turned back into numbers of the
+    spec's mode, scaled to sum 1, only when read."""
 
     def __init__(self, spec: IETSpec):
         if not spec.oriented:
@@ -79,9 +80,7 @@ class _RauzyState:
         self.top = list(range(1, n + 1))
         self.bottom = list(spec.pi_inverse())
         self.mode = spec.mode
-        lengths = spec.lengths
-        if self.mode == "exact":
-            self.d, lengths = _integer_pairs(lengths)
+        self.d, lengths = _integer_pairs(spec.lengths)
         self.lengths = dict(zip(self.top, lengths))
 
     def step(self) -> tuple[IntMatrix, str]:
@@ -89,11 +88,8 @@ class _RauzyState:
         # irreducible (Rauzy, Acta Arith. 34, 1979)
         t, b = self.top[-1], self.bottom[-1]
         lt, lb = self.lengths[t], self.lengths[b]
-        if self.mode == "float":
-            sign = (lt > lb) - (lt < lb)
-        else:
-            da, db = lt[0] - lb[0], lt[1] - lb[1]
-            sign = int_sign(da, db, self.d)
+        da, db = lt[0] - lb[0], lt[1] - lb[1]
+        sign = int_sign(da, db, self.d)
         if sign == 0:
             raise KeaneViolation("competing lengths are equal")
         # the longer of the two last intervals wins; the loser leaves the
@@ -102,12 +98,7 @@ class _RauzyState:
                                else ("b", b, t, self.top))
         row.pop()
         row.insert(row.index(win) + 1, lose)
-        if self.mode == "float":
-            self.lengths[win] -= self.lengths[lose]
-            total = sum(self.lengths.values())
-            self.lengths = {k: v / total for k, v in self.lengths.items()}
-        else:
-            self.lengths[win] = (da, db) if sign > 0 else (-da, -db)
+        self.lengths[win] = (da, db) if sign > 0 else (-da, -db)
         return intmat.elementary(self.n, win - 1, lose - 1), tag
 
     def to_spec(self) -> IETSpec:
@@ -119,8 +110,9 @@ class _RauzyState:
     def letter_lengths(self) -> tuple:
         """Lengths in letter order, summing to 1."""
         lengths = [self.lengths[ell] for ell in range(1, self.n + 1)]
-        if self.mode == "float":
-            return tuple(lengths)
+        if self.mode == "float":   # int true division rounds correctly
+            total = sum(a for a, _ in lengths)
+            return tuple(a / total for a, _ in lengths)
         # D cancels from (A + B*sqrt(d))/D over the sum of all of them
         values = [quad(a, b, self.d) for a, b in lengths]
         total = sum(values)
@@ -143,6 +135,8 @@ def induce(spec: IETSpec, steps: int) -> MatrixSequence:
     A KeaneViolation is re-raised with `.step` and `.partial` (the sequence
     built so far) attached.
     """
+    if steps < 0:
+        raise DomainError("induction steps must be nonnegative")
     state = _RauzyState(spec)
     matrices: list[IntMatrix] = []
     tags: list[str] = []
@@ -330,7 +324,7 @@ def factor_zero_one(m: IntMatrix) -> list[IntMatrix]:
 
 def to_bratteli(seq: MatrixSequence) -> BratteliDiagram:
     """Replace each multiplicity matrix by explicit 0/1 edge factors."""
-    blocks = []
-    for m in seq.matrices:
-        blocks.append(tuple(factor_zero_one(m)))
-    return BratteliDiagram(tuple(blocks))
+    if not seq.matrices:   # a diagram needs a first level
+        raise SequenceTooShort("empty sequence")
+    return BratteliDiagram(tuple(tuple(factor_zero_one(m))
+                                 for m in seq.matrices))

@@ -395,6 +395,7 @@ def test_cli_runs_without_numpy(golden_path, tmp_path):
         import sys
         sys.modules["numpy"] = None
         from ietlab import cli, dimension_group as dg, induction, iet
+        from ietlab.errors import KeaneViolation
         out, golden = {str(tmp_path / "out.json")!r}, {golden_path!r}
         for argv in (["pf", "--matrix", "[[2,1],[1,1]]"],
                      ["ergodic", "--spec", golden, "--depth", "40"],
@@ -402,12 +403,18 @@ def test_cli_runs_without_numpy(golden_path, tmp_path):
                      ["simplex", "--spec", golden, "--depth", "30",
                       "--k", "3"]):
             assert cli.main(argv + ["--out", out]) == 0, argv
+        # the binary value of this spec has a connection at step 6
         spec = iet.validate((0.1, 0.2, 0.3, 0.4), (4, 3, 2, 1), mode="float")
-        seq = induction.induce(spec, 40)
-        assert dg.state_simplex(seq, 40).numeric_rank == 4
-        assert dg.estimate_state_dim(seq, 40) == 4
+        try:
+            induction.induce(spec, 40)
+            raise AssertionError("no KeaneViolation")
+        except KeaneViolation as exc:
+            assert exc.step == 6, exc.step
+        seq = induction.induce(spec, 6)
+        assert dg.state_simplex(seq, 6).numeric_rank == 4
+        assert dg.estimate_state_dim(seq, 6) == 4
         assert dg.cyclic_structure(((0, 1), (1, 0))).period == 2
-        verdict = dg.strict_ergodicity_verdict(spec, 40)
+        verdict = dg.strict_ergodicity_verdict(spec, 6)
         assert verdict.status == "Inconclusive"
         assert verdict.certificate.pf is None
         assert verdict.state_dim_estimate == 4

@@ -241,6 +241,15 @@ def test_perron_frobenius_golden_block():
     assert uppers == sorted(uppers, reverse=True)
 
 
+def test_perron_frobenius_closes_a_bracket_below_1e_18():
+    # the tolerance is compared as the exact value of its float: rounded to
+    # a denominator of at most 10**18, 1e-20 was 0 and the bracket never
+    # closed
+    res = perron_frobenius(((2, 1), (1, 1)), tol=1e-20)
+    assert 0 < res.upper_cw - res.lower_cw <= Fraction(1e-20)
+    assert res.iterations == 26
+
+
 def test_perron_frobenius_rejects_imprimitive():
     with pytest.raises(errors.NotPrimitive):
         perron_frobenius(((0, 1), (1, 0)))
@@ -465,10 +474,16 @@ NEGATIVE = "negative entry in nonnegative matrix"
     (lambda: cyclic_structure(((1, 1, 1), (1, 1, 1))), ValueError,
      "P must be square"),
     (lambda: is_primitive(((1,), (1,))), ValueError, "P must be square"),
+    # a negative depth once read matrices[:k], the first len + k of them
+    (lambda: state_simplex(const_seq(FIB2, 3), -1), errors.DomainError,
+     "simplex depth must be nonnegative"),
+    (lambda: estimate_state_dim(const_seq(FIB2, 3), -3), errors.DomainError,
+     "simplex depth must be nonnegative"),
 ], ids=["pf-tol-0", "simplex-empty", "pf-max-iter", "primitive-signed",
         "cyclic-signed", "pf-signed", "cw-signed", "simplex-signed",
         "diameters-signed", "state-dim-signed", "primitive-2x3",
-        "cyclic-2x3", "primitive-2x1"])
+        "cyclic-2x3", "primitive-2x1", "simplex-negative",
+        "state-dim-negative"])
 def test_dimension_group_refusals(call, error, message):
     with pytest.raises(error) as exc_info:
         call()

@@ -241,6 +241,13 @@ def test_orbit_refuses_a_negative_length():
         orbit(golden_spec(), Fraction(1, 10), -1)
 
 
+def test_keane_condition_refuses_a_negative_depth():
+    # a negative depth once ran no step and reported Holds
+    with pytest.raises(errors.DomainError,
+                       match="^Keane depth must be nonnegative$"):
+        keane_condition(golden_spec(), -5)
+
+
 def test_keane_condition_holds_on_one_interval():
     # no discontinuity, so nothing can collide
     spec = validate((Fraction(1),), (1,))

@@ -257,6 +257,37 @@ def test_exact_induction_matches_per_step_renormalisation():
     assert halted >= 5
 
 
+def _binary_value(spec):
+    """The exact spec of a float spec's binary value: Fraction(x) over the
+    sum of them."""
+    values = [Fraction(x) for x in spec.lengths]
+    total = sum(values)
+    return validate([v / total for v in values], spec.pi)
+
+
+def _induce_to_halt(spec, depth):
+    """(sequence, step of a KeaneViolation, or None if all steps ran)."""
+    try:
+        return induce(spec, depth), None
+    except errors.KeaneViolation as exc:
+        return exc.partial, exc.step
+
+
+def test_float_induction_is_exact_induction_of_the_binary_value():
+    golden = validate(tuple(map(float, golden_spec().lengths)), (2, 1))
+    rng = random.Random(22)
+    specs = [(golden, 150)] + [(random_float_spec(rng, 2 + k % 5), 200)
+                               for k in range(100)]
+    for spec, depth in specs:
+        got, step = _induce_to_halt(spec, depth)
+        want, want_step = _induce_to_halt(_binary_value(spec), depth)
+        assert step == want_step
+        assert got.matrices == want.matrices and got.tags == want.tags
+        assert got.final_lengths == tuple(map(float, want.final_lengths))
+    # golden's binary value is rational, so it ends in a connection
+    assert _induce_to_halt(golden, 150)[1] == 87
+
+
 def test_telescope_conserves_product():
     seq = induce(golden_spec(), 12)
     tel = telescope(seq, [2, 4, 6, 8, 10, 12])
@@ -319,18 +350,25 @@ def test_simplicity_check():
             simplicity_check(seq, window)
 
 
-@pytest.mark.parametrize("call, message", [
+@pytest.mark.parametrize("call, error, message", [
     (lambda seq: detect_stationarity(seq, max_block=0),
-     "max_block and min_repeats must be >= 1"),
+     errors.SequenceTooShort, "max_block and min_repeats must be >= 1"),
     (lambda seq: detect_stationarity(seq, min_repeats=0),
-     "max_block and min_repeats must be >= 1"),
+     errors.SequenceTooShort, "max_block and min_repeats must be >= 1"),
     (lambda seq: simplicity_check(MatrixSequence((), ()), 3),
-     "empty sequence"),
-    (lambda seq: simplicity_check(seq, 0), "window must be >= 1"),
+     errors.SequenceTooShort, "empty sequence"),
+    (lambda seq: simplicity_check(seq, 0), errors.SequenceTooShort,
+     "window must be >= 1"),
+    # a negative count once gave an empty sequence
+    (lambda seq: induce(golden_spec(), -2), errors.DomainError,
+     "induction steps must be nonnegative"),
+    # an empty diagram once raised a bare IndexError from level_sizes
+    (lambda seq: to_bratteli(induce(golden_spec(), 0)),
+     errors.SequenceTooShort, "empty sequence"),
 ], ids=["max-block-0", "min-repeats-0", "simplicity-empty",
-        "simplicity-window-0"])
-def test_stationarity_and_simplicity_refusals(call, message):
-    with pytest.raises(errors.SequenceTooShort) as exc_info:
+        "simplicity-window-0", "induce-negative", "bratteli-empty"])
+def test_stationarity_and_simplicity_refusals(call, error, message):
+    with pytest.raises(error) as exc_info:
         call(induce(golden_spec(), 10))
     assert str(exc_info.value) == message
 
