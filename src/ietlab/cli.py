@@ -381,7 +381,9 @@ def main(argv=None) -> int:
     try:
         result, to_csv = args.run(args)
     except IETLabError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        step = getattr(exc, "step", None)
+        where = "" if step is None else f" at step {step}"
+        sys.stderr.write(f"error: {exc}{where}\n")
         return 1
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -18,7 +18,8 @@ One orbit loop, `_record`, reads those rows.  `evaluate`, `orbit`,
 `keane_condition` and `count_visits` all step through it; `count_visits`
 records its orbit a block at a time and bins each block.  The census,
 `count_returns`, reads the same rows a piece of a first-return tower at a
-time and steps through `_record` only where no piece applies.
+time and steps through `_record` only where no piece applies; the oriented
+starts of one census ride the towers they share (`_count_through`).
 Float mode rounds each image once, in that one addition or subtraction,
 and then clamps it into [lo, hi): an image that rounded onto hi or past it
 becomes nextafter(hi, 0), one that rounded below lo becomes lo.  So every
@@ -42,6 +43,7 @@ FLOAT_SUM_TOL = 1e-12
 KEANE_FLOAT_TOL = 1e-10  # collision tolerance, below drift of 1e4 isometry steps
 _BLOCK = 8192            # orbit points recorded at a time on long runs
 _WINDOW = Fraction(1, 50)  # length of the census window J, see count_returns
+_APPROACH = int(4 / _WINDOW)  # steps a census start walks to a shared window
 _SLIVER = 1e-12          # float tower pieces at most this wide are dropped
 
 
@@ -287,14 +289,43 @@ def count_returns(spec: IETSpec, x0, n_steps: int, edges) -> list[int]:
     A float return is one rounding, not r, and is clamped into the return
     floor as `_record` clamps a step; a float piece at most `_SLIVER` wide
     is dropped, so its points step through `_record`.
+
+    Every call builds its own tower.  The oriented starts of one census
+    (`measures.estimate_ergodic_count`) share theirs, by `_count_through`.
+    """
+    return _count_through(spec, x0, n_steps, edges, [])
+
+
+def _count_through(spec: IETSpec, x0, n_steps: int, edges,
+                   towers: list) -> list[int]:
+    """`count_returns` through the towers that earlier runs over the same
+    spec and edges have built.  A run of more than `_APPROACH` steps first
+    walks through `_record`, at most `_APPROACH` steps, until it lands in
+    one of their windows, and then rides that tower.  A run that lands in
+    none starts over from x0 with its own window, so it counts and costs
+    as `count_returns` does, and appends that tower to `towers`.  Exact
+    counts are the same either way.
     """
     edges = [_scalar(spec, e) for e in edges]
-    inner, x = edges[1:-1], _start(spec, x0)
-    float_mode = spec.mode == "float"
-    tower = _window_tower(spec, x, inner)
-    bases, ends, pieces = tower.bases, tower.ends, tower.pieces
+    inner, x0 = edges[1:-1], _start(spec, x0)
+    x, float_mode = x0, spec.mode == "float"
     counts = [0] * (len(edges) - 1)
     br, nxt, left, budget = bisect_right, math.nextafter, n_steps, n_steps
+
+    def landing(y):
+        return next((t for t in towers if t.j0 <= y < t.j1), None)
+
+    tower = landing(x)
+    while tower is None and towers and n_steps - left < _APPROACH < n_steps:
+        counts[br(inner, x)] += 1
+        x = _record(spec, x, 1)[0][1]
+        left -= 1
+        tower = landing(x)
+    if tower is None:
+        x, left, counts = x0, n_steps, [0] * len(counts)
+        tower = _window_tower(spec, x, inner)
+        towers.append(tower)
+    bases, ends, pieces = tower.bases, tower.ends, tower.pieces
     # Brent's cycle search over the returns: a marked return point, moved
     # on after 1, 2, 4, ... returns, and the pieces taken since it
     mark, path, lap = -1, [], 1
@@ -333,9 +364,11 @@ def count_returns(spec: IETSpec, x0, n_steps: int, edges) -> list[int]:
                 x = nxt(hi, 0.0)
             elif x < lo:
                 x = lo
-    for piece in pieces:
-        for b in piece[4]:
-            counts[b] += piece[6]
+    for piece in pieces:               # this run's visits, and reset them
+        if piece[6]:
+            for b in piece[4]:
+                counts[b] += piece[6]
+            piece[6] = 0
     tail = count_visits(spec, x, left, edges)
     return [c + t for c, t in zip(counts, tail)]
 
@@ -343,7 +376,8 @@ def count_returns(spec: IETSpec, x0, n_steps: int, edges) -> list[int]:
 class _Tower(NamedTuple):
     """A first-return tower over J = [j0, j1), built as far as `_grow` has
     taken it: the points where floors split, the open bases (u, v) of the
-    pieces, in order, and each piece as [a, b, sign, tau, bins, r, visits]."""
+    pieces, in order, and each piece as [a, b, sign, tau, bins, r, visits],
+    visits being the returns through it in the run that rides the tower."""
     j0: object
     j1: object
     marks: list
@@ -373,7 +407,9 @@ def _grow(spec: IETSpec, tower: _Tower, i: int, inner,
     `_SLIVER` wide is dropped.  Otherwise the floor has one bin and one
     branch, so every point strictly inside the base follows it, and it
     climbs by that branch.  A floor in J after step 0 closes the piece,
-    with r its return time and [a, b) its return floor.
+    with r its return time and [a, b) its return floor.  A piece that runs
+    past max_floors keeps the floor it reached, so a later call goes on
+    from there.
     """
     j0, j1, marks, bases, ends, pieces = tower
     a, b, sign, tau, bins = pieces[i][:5]
@@ -404,6 +440,7 @@ def _grow(spec: IETSpec, tower: _Tower, i: int, inner,
             a, b, tau = a + shift, b + shift, tau + shift
         else:
             a, b, sign, tau = shift - b, shift - a, -sign, shift - tau
+    pieces[i] = [a, b, sign, tau, bins, 0, 0]
     return max_floors + 1
 
 

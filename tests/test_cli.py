@@ -183,6 +183,22 @@ def test_pf_on_a_near_periodic_spectrum_ends(capsys):
     assert "bracket wider than 1e-12" in _one_line_error(capsys)
 
 
+def test_keane_violation_names_its_step(tmp_path, capsys):
+    # float golden reaches its binary value's connection at step 87
+    a = (math.sqrt(5) - 1) / 2
+    path = tmp_path / "golden_float.json"
+    path.write_text(json.dumps({"lambda": [1 - a, a], "pi": [2, 1],
+                                "mode": "float"}))
+    for argv in (["induce", "--steps", "100"], ["stationary", "--steps", "200"]):
+        assert main(argv + ["--spec", str(path)]) == 1, argv
+        assert _one_line_error(capsys) == (
+            "error: competing lengths are equal at step 87\n")
+    # errors without a step keep their message as it is
+    assert main(["induce", "--spec", str(path), "--steps", "86"]) == 0
+    assert main(["pf", "--matrix", "[[0]]"]) == 1
+    assert "at step" not in _one_line_error(capsys)
+
+
 def test_measures_replayable(golden_path, tmp_path):
     argv = ["measures", "--spec", golden_path, "--starts", "4",
             "--steps", "2000", "--seed", "7"]

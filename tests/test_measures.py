@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from ietlab import errors, iet
+from ietlab import errors, iet, measures
 from ietlab.iet import (count_returns, count_visits, evaluate, inverse,
                         is_irreducible, orbit, validate)
-from ietlab.measures import (_bin_edges, birkhoff_average, empirical_measure,
-                             estimate_ergodic_count)
+from ietlab.measures import (DEFAULT_BINS, _bin_edges, birkhoff_average,
+                             empirical_measure, estimate_ergodic_count)
 from ietlab.numbers import golden_alpha, quad
 
 
@@ -386,3 +386,118 @@ def test_count_returns_past_the_floor_cap_is_count_visits(monkeypatch):
             == count_visits(spec, x0, 10, edges))
     assert sum(floors) == 11
     assert calls == [(x0, 10)]
+
+
+def _sqrt3_4iet():
+    s3 = quad(0, 1, 3)
+    return validate(((s3 - 1) / 4, Fraction(1, 5), 2 - s3,
+                     Fraction(-19, 20) + s3 * Fraction(3, 4)), (4, 3, 2, 1))
+
+
+def test_a_tower_past_its_floor_cap_serves_a_later_run(monkeypatch):
+    # a short run stops its tower mid-climb; a later run over the same
+    # towers goes on climbing from the floor it reached
+    spec, x0 = _sqrt3_4iet(), Fraction(1, 10)
+    edges = sorted({Fraction(k, 8) for k in range(9)} | set(spec.cuts))
+    pts = orbit(spec, x0, 1500).points
+    grow, capped = iet._grow, []
+
+    def grow_spy(spec, tower, i, inner, max_floors):
+        floors = grow(spec, tower, i, inner, max_floors)
+        capped.append(floors > max_floors)
+        return floors
+
+    monkeypatch.setattr(iet, "_grow", grow_spy)
+    for first in (5, 10, 20, 50):
+        towers, capped[:] = [], []
+        assert (iet._count_through(spec, x0, first, edges, towers)
+                == _bins_by_bisect(pts[:first], edges))
+        assert capped[-1], first
+        for n in (first + 1, 1487, 1500):
+            assert (iet._count_through(spec, x0, n, edges, towers)
+                    == _bins_by_bisect(pts[:n], edges)), (first, n)
+        assert len(towers) == 1
+
+
+def _census_runs(monkeypatch):
+    """Spy on the census: each run's start, counts and the towers it was
+    given, after the run."""
+    through, runs = iet._count_through, []
+
+    def spy(spec, x0, n_steps, edges, towers):
+        counts = through(spec, x0, n_steps, edges, towers)
+        runs.append((x0, counts, towers))
+        return counts
+
+    monkeypatch.setattr("ietlab.measures._count_through", spy)
+    return runs
+
+
+def test_census_shares_exact_towers_bit_for_bit(monkeypatch):
+    a = golden_alpha()
+    runs = _census_runs(monkeypatch)
+    rng = random.Random("shared exact")
+    for spec in (validate((1 - a, a), (2, 1)), _sqrt3_4iet()):
+        starts = [Fraction(rng.randrange(1000), 1000) for _ in range(16)]
+        edges, n = _bin_edges(spec, 16), 2000
+        runs.clear()
+        census = estimate_ergodic_count(spec, starts, n, bins=16)
+        assert len(runs) == 16
+        for x0, counts, towers in runs:
+            assert counts == count_visits(spec, x0, n, edges), (spec, x0)
+            assert towers is runs[0][2]
+        assert len(runs[0][2]) < 4, spec           # starts share windows
+        for m, _ in census.clusters:
+            assert m.masses == tuple(
+                c / n for c in count_visits(spec, m.start, n, edges))
+
+
+def test_census_counts_as_each_start_alone(monkeypatch):
+    # on the float tower corpus, a start riding a shared tower counts as
+    # it does through its own
+    runs = _census_runs(monkeypatch)
+    cases = _float_tower_corpus()
+    for spec in {id(spec): spec for spec, _ in cases}.values():
+        starts = [x0 for s, x0 in cases if s is spec] + [0.5, 0.9]
+        runs.clear()
+        estimate_ergodic_count(spec, starts, 20000)
+        assert len(runs[-1][2]) < len(starts) or not spec.oriented, spec
+        edges = _bin_edges(spec, DEFAULT_BINS)
+        for x0, counts, _ in runs[:]:     # alone, each start is a run more
+            assert counts == count_returns(spec, x0, 20000, edges), (spec, x0)
+            assert (tuple(c / 20000 for c in counts)
+                    == empirical_measure(spec, x0, 20000).masses)
+
+
+def test_census_of_a_flip_spec_keeps_a_window_per_start(monkeypatch):
+    # 0.1 and 0.2 make one periodic component of x -> 0.3 - x, and each
+    # lands in the other's window within two steps
+    runs = _census_runs(monkeypatch)
+    spec = validate((0.3, 0.7), (1, 2), (-1, 1), mode="float")
+    census = estimate_ergodic_count(spec, [0.1, 0.2, 0.5], 1000)
+    assert census.non_minimal_flag
+    assert [x0 for x0, _, _ in runs] == [0.1, 0.2, 0.5]
+    for x0, _, towers in runs:
+        assert len(towers) == 1 and towers[0].j0 <= x0 < towers[0].j1
+
+
+def test_a_census_repeated_costs_and_counts_the_same(monkeypatch):
+    grow, floors = iet._grow, []
+
+    def grow_spy(*args):
+        floors.append(grow(*args))
+        return floors[-1]
+
+    monkeypatch.setattr(iet, "_grow", grow_spy)
+    for spec in (golden_float(), _sqrt3_4iet()):
+        starts = [Fraction(k, 17) for k in range(1, 17)]
+        results, built = [], []
+        for _ in range(2):
+            floors.clear()
+            results.append(estimate_ergodic_count(spec, starts, 1000))
+            built.append(sum(floors))
+            assert measures._CENSUS.get() is None   # no tower outlives it
+        assert results[0] == results[1] and built[0] == built[1] > 0, spec
+        floors.clear()
+        empirical_measure(spec, starts[0], 1000)
+        assert sum(floors) > 0            # a lone start builds its own tower
