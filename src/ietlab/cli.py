@@ -298,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ergodic", help="strict-ergodicity verdict")
     common(p, _run_ergodic)
-    p.add_argument("--depth", type=_POS_INT, default=40)
+    p.add_argument("--depth", type=_POS_INT, default=dg.INDUCTION_DEPTH)
     p.add_argument("--max-block", type=_POS_INT, default=induction.MAX_BLOCK)
     p.add_argument("--tol", type=_POS_FLOAT, default=dg.RANK_TOL)
 
@@ -319,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, _run_rotation, spec=False)
     p.add_argument("--matrices", required=True,
                    help="2x2 matrix-sequence JSON file")
-    p.add_argument("--depth", type=_POS_INT, default=40)
+    p.add_argument("--depth", type=_POS_INT, default=rotation.CF_DEPTH)
     p.add_argument("--surd", action="store_true",
                    help="treat the sequence as periodic and solve exactly")
 

@@ -33,6 +33,7 @@ PF_MAX_BITS = 4096
 PF_MAX_ITER = 2000
 PF_TOL = 1e-12      # width of the Perron-Frobenius bracket
 RANK_TOL = 1e-8     # singular values at most this count as zero
+INDUCTION_DEPTH = 40  # Rauzy steps the verdict induces
 
 
 def collatz_wielandt(p: IntMatrix, x: Sequence):
@@ -344,7 +345,8 @@ class ErgodicityVerdict(NamedTuple):
                 f"diagnostics={self.diagnostics!r})")
 
 
-def strict_ergodicity_verdict(spec: IETSpec, induction_depth: int = 40,
+def strict_ergodicity_verdict(spec: IETSpec,
+                              induction_depth: int = INDUCTION_DEPTH,
                               max_block: int = MAX_BLOCK, *,
                               tol: float = RANK_TOL) -> ErgodicityVerdict:
     """Induce, look for MIN_REPEATS equal blocks of length <= max_block,

@@ -19,7 +19,7 @@ One orbit loop, `_record`, reads those rows.  `evaluate`, `orbit`,
 records its orbit a block at a time and bins each block.  The census,
 `count_returns`, reads the same rows a piece of a first-return tower at a
 time and steps through `_record` only where no piece applies; the oriented
-starts of one census ride the towers they share (`_count_through`).
+starts of one census ride the towers they share.
 Float mode rounds each image once, in that one addition or subtraction,
 and then clamps it into [lo, hi): an image that rounded onto hi or past it
 becomes nextafter(hi, 0), one that rounded below lo becomes lo.  So every
@@ -272,9 +272,10 @@ def count_visits(spec: IETSpec, x0, n_steps: int, edges) -> list[int]:
     return counts
 
 
-def count_returns(spec: IETSpec, x0, n_steps: int, edges) -> list[int]:
+def count_returns(spec: IETSpec, x0, n_steps: int, edges,
+                  towers: list) -> list[int]:
     """The counts of `count_visits`, taken through the first-return tower
-    over the window J = [x0 - l/2, x0 + l/2) cut to [0, 1), l = `_WINDOW`.
+    over a window J of length l = `_WINDOW` on the orbit, cut to [0, 1).
 
     J splits into pieces, each climbing floors outside J until one lies in
     J: on a piece the return time r, the bin of every floor and the map
@@ -290,25 +291,23 @@ def count_returns(spec: IETSpec, x0, n_steps: int, edges) -> list[int]:
     floor as `_record` clamps a step; a float piece at most `_SLIVER` wide
     is dropped, so its points step through `_record`.
 
-    Every call builds its own tower.  The oriented starts of one census
-    (`measures.estimate_ergodic_count`) share theirs, by `_count_through`.
-    """
-    return _count_through(spec, x0, n_steps, edges, [])
-
-
-def _count_through(spec: IETSpec, x0, n_steps: int, edges,
-                   towers: list) -> list[int]:
-    """`count_returns` through the towers that earlier runs over the same
-    spec and edges have built.  A run of more than `_APPROACH` steps first
-    walks through `_record`, at most `_APPROACH` steps, until it lands in
-    one of their windows, and then rides that tower.  A run that lands in
-    none starts over from x0 with its own window, so it counts and costs
-    as `count_returns` does, and appends that tower to `towers`.  Exact
-    counts are the same either way.
+    `towers` holds the towers that earlier runs over the same spec and
+    edges built; a run on its own passes [] and centres J at x0.  Given
+    towers, a run of more than `_APPROACH` steps walks through `_record`,
+    at most `_APPROACH` steps, until it lands in one of their windows and
+    rides that tower; one that lands in none keeps the counts it walked
+    and centres its own J where it stands.  A new tower goes on `towers`.
+    Exact counts are the same either way.
     """
     edges = [_scalar(spec, e) for e in edges]
-    inner, x0 = edges[1:-1], _start(spec, x0)
-    x, float_mode = x0, spec.mode == "float"
+    inner, x = edges[1:-1], _start(spec, x0)
+    float_mode = spec.mode == "float"
+    # over a spec with flips a run neither rides nor extends towers: almost
+    # every IET with flips has periodic components (Nogueira, Ergodic
+    # Theory Dynam. Systems 9, 1989), where a float orbit riding another
+    # run's tower can drift an ulp a return and never meet a point twice,
+    # which the cycle search below cannot catch
+    towers = towers if spec.oriented else []
     counts = [0] * (len(edges) - 1)
     br, nxt, left, budget = bisect_right, math.nextafter, n_steps, n_steps
 
@@ -322,7 +321,6 @@ def _count_through(spec: IETSpec, x0, n_steps: int, edges,
         left -= 1
         tower = landing(x)
     if tower is None:
-        x, left, counts = x0, n_steps, [0] * len(counts)
         tower = _window_tower(spec, x, inner)
         towers.append(tower)
     bases, ends, pieces = tower.bases, tower.ends, tower.pieces

@@ -1,14 +1,12 @@
 """Empirical invariant measures: Birkhoff averages, orbit histograms and a
 census of distinct measures seen from many starting points.
 
-Each histogram is counted as `iet.count_returns` counts it, through the
-first-return tower over a short window around its start, so an N-step
-orbit costs about N/50 returns; `birkhoff_average` counts its orbit
-pointwise.  The oriented starts of one census share their towers: a start
-walks a few mean return times until it lands in a window the census
-already has, and only a start that lands in none builds a tower.  The
-towers live for one `estimate_ergodic_count` call, in `_CENSUS`; the
-starts of a spec with flips each keep their own.
+Each histogram is counted by `iet.count_returns`, through the
+first-return tower over a short window on its orbit, so an N-step orbit
+costs about N/50 returns; `birkhoff_average` counts its orbit pointwise.
+The starts of one census hand `count_returns` one list of towers, which
+lives for one `estimate_ergodic_count` call, in `_CENSUS`; `count_returns`
+decides which starts share a tower.
 
 The census is an estimate, not a certification: empirical measures from
 N-step orbits are clustered by L1 distance and the cluster count is compared
@@ -26,14 +24,14 @@ from typing import NamedTuple, Optional, Sequence
 
 from .dimension_group import measure_bounds
 from .errors import DomainError
-from .iet import IETSpec, _count_through, count_visits
+from .iet import IETSpec, count_returns, count_visits
 
 DEFAULT_BINS = 64
 DEFAULT_CLUSTER_TOL = 0.05
 _COARSE_BINS = 8
 _MIN_BIN_WIDTH = 1e-6   # narrower bins may go unvisited by a minimal map
 _MASS_EPS = 1e-9        # a bin with at most this mass is empty
-# (spec, bins, towers) of the census running in this context, if any
+# the towers of the census running in this context, if any
 _CENSUS = ContextVar("census", default=None)
 
 
@@ -80,10 +78,9 @@ def empirical_measure(spec: IETSpec, x0, n_steps: int,
     if n_steps < 1:
         raise DomainError("need at least one iterate")
     edges = _bin_edges(spec, bins)
-    census = _CENSUS.get()
-    towers = (census[2] if census and census[0] is spec and census[1] == bins
-              else [])
-    counts = _count_through(spec, x0, n_steps, edges, towers)
+    towers = _CENSUS.get()
+    counts = count_returns(spec, x0, n_steps, edges,
+                           [] if towers is None else towers)
     masses = tuple(c / n_steps for c in counts)
     return EmpiricalMeasure(tuple(map(float, edges)), masses, float(x0),
                             n_steps)
@@ -128,10 +125,7 @@ def estimate_ergodic_count(spec: IETSpec, starts: Sequence, n_steps: int,
     if len(starts) < 2:
         raise DomainError("need at least two starting points")
     ordered = sorted(starts, key=float)   # deterministic aggregation order
-    # the starts of a spec with flips share no towers: in a periodic flip
-    # component, a float orbit riding another start's tower can drift an
-    # ulp a return and never repeat, which the cycle search cannot catch
-    token = _CENSUS.set((spec, bins, []) if spec.oriented else None)
+    token = _CENSUS.set([])
     try:
         measures = [empirical_measure(spec, x0, n_steps, bins)
                     for x0 in ordered]

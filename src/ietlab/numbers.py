@@ -62,13 +62,9 @@ def quad(a, b, d: int):
     s, d0 = _squarefree_split(d)
     if d0 == 1:
         return a + b * s
-    return _field(a, b * s, d0)
-
-
-def _field(a: Fraction, b: Fraction, d: int):
-    """The canonical a + b*sqrt(d): the Fraction a when b == 0."""
+    b *= s
     return _make(a.numerator * b.denominator, b.numerator * a.denominator,
-                 a.denominator * b.denominator, d)
+                 a.denominator * b.denominator, d0)
 
 
 def _make(p: int, r: int, q: int, d: int):
@@ -153,7 +149,7 @@ class Quadratic:
         return Fraction(self.r, self.q)
 
     def __reduce__(self):   # copy and pickle past the immutability guard
-        return _field, (self.a, self.b, self.d)
+        return _make, (self.p, self.r, self.q, self.d)
 
     def __setattr__(self, *args):
         raise AttributeError("Quadratic is immutable")
@@ -218,8 +214,8 @@ class Quadratic:
     __gt__ = _by_sign(operator.gt)
     __ge__ = _by_sign(operator.ge)
 
-    def __hash__(self):
-        return hash((self.a, self.b, self.d))
+    def __hash__(self):   # the canonical form keeps it consistent with ==
+        return hash((self.p, self.r, self.q, self.d))
 
     # -- conversions ------------------------------------------------------
 

@@ -38,6 +38,7 @@ from .intmat import IntMatrix
 from .numbers import Quadratic, as_int, is_exact, quad
 
 QUOTIENT_FLOAT_TOL = 1e-13   # least uncertainty of a float's CF quotients
+CF_DEPTH = 40                # truncations of `rotation_number`
 
 
 class _MoebiusEntries(NamedTuple):
@@ -118,7 +119,7 @@ def _term_matrices(seq: Sequence) -> list[IntMatrix]:
             for m in mats]
 
 
-def rotation_number(seq: Sequence[MoebiusMatrix], depth: int = 40,
+def rotation_number(seq: Sequence[MoebiusMatrix], depth: int = CF_DEPTH,
                     tol: float = 1e-10) -> RotationNumber:
     """Truncations of the matrix continued fraction at increasing depth.
 

@@ -122,6 +122,21 @@ def test_non_finite_points_are_domain_errors(mode, x):
         orbit(spec, x, 3)
 
 
+@pytest.mark.parametrize("lengths, pi, signs, error, message", [
+    ((), (), None, errors.NonPositiveLength, "need at least one interval"),
+    ((0.5, 0.5), (3, 1, 2), None, errors.NonBijectivePermutation,
+     "permutation size differs from lengths"),
+    ((0.5, 0.5), (2, 1), (1,), errors.NonBijectivePermutation,
+     "signs must be +1/-1, one per interval"),
+    ((0.5, 0.5), (2, 1), (1, 0), errors.NonBijectivePermutation,
+     "signs must be +1/-1, one per interval"),
+], ids=["no-interval", "pi-size", "signs-size", "sign-zero"])
+def test_validate_refusals(lengths, pi, signs, error, message):
+    with pytest.raises(error) as exc_info:
+        validate(lengths, pi, signs)
+    assert str(exc_info.value) == message
+
+
 def test_validate_refuses_to_truncate_pi_and_signs():
     half = (Fraction(1, 2), Fraction(1, 2))
     for pi, signs in [((2.5, 1), None), ((2, 1), (1.7, -1.2)),

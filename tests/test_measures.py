@@ -41,6 +41,15 @@ def test_birkhoff_period_two_orbit():
                             (Fraction(0), Fraction(1, 2)), 1000) == 0.5
 
 
+@pytest.mark.parametrize("bins, n_steps, message", [
+    (3, 10, "need at least 4 bins"), (64, 0, "need at least one iterate")],
+    ids=["bins", "iterates"])
+def test_empirical_measure_refusals(bins, n_steps, message):
+    with pytest.raises(errors.DomainError) as exc_info:
+        empirical_measure(identity_spec(4), Fraction(1, 8), n_steps, bins)
+    assert str(exc_info.value) == message
+
+
 def test_birkhoff_golden_equidistribution():
     a = float(golden_alpha())
     avg = birkhoff_average(golden_float(), 0.1, (0.0, 1 - a), 10 ** 5)
@@ -331,7 +340,7 @@ def test_count_returns_exact_matches_the_orbit():
             if spec is specs[-1] and x0 == Fraction(11, 100):
                 assert j0 in pts
             for n in (1, back - 1, back, back + 1):
-                assert (count_returns(spec, x0, n, edges)
+                assert (count_returns(spec, x0, n, edges, [])
                         == _bins_by_bisect(pts[:n], edges)), (spec, x0, n)
 
 
@@ -353,7 +362,7 @@ def _float_tower_corpus():
 def test_count_returns_float_matches_count_visits():
     for spec, x0 in _float_tower_corpus():
         edges = _bin_edges(spec, 64)
-        assert (count_returns(spec, x0, 20000, edges)
+        assert (count_returns(spec, x0, 20000, edges, [])
                 == count_visits(spec, x0, 20000, edges)), (spec, x0)
 
 
@@ -382,10 +391,33 @@ def test_count_returns_past_the_floor_cap_is_count_visits(monkeypatch):
 
     monkeypatch.setattr(iet, "_grow", grow_spy)
     monkeypatch.setattr(iet, "count_visits", visits_spy)
-    assert (count_returns(spec, x0, 10, edges)
+    assert (count_returns(spec, x0, 10, edges, [])
             == count_visits(spec, x0, 10, edges))
     assert sum(floors) == 11
     assert calls == [(x0, 10)]
+
+
+def test_a_float_return_is_clamped_into_its_floor():
+    # one ulp inside a piece's base, next to a bin edge, sign*x + tau
+    # rounds past the top b of the return floor (first case) or below its
+    # bottom a (second); clamped into [a, b), the run counts as the orbit
+    cases = [((0.13358176311762873, 0.5494343027983891, 0.05878469741556227,
+               0.25819923666841993), (4, 3, 2, 1), (-1, 1, 1, -1),
+              0.4195440147048316, 0.42187499999999994),
+             ((0.3469730980910203, 0.2617821182641801, 0.28803611644874794,
+               0.10320866719605162), (2, 3, 4, 1), (-1, 1, 1, 1),
+              0.7577007745693521, 0.7500000000000001)]
+    for k, (lengths, pi, signs, x0, x) in enumerate(cases):
+        spec = validate(lengths, pi, signs, mode="float")
+        edges = _bin_edges(spec, 64)
+        tower, _ = _full_tower(spec, x0, edges)
+        i = bisect_right(tower.bases, x) - 1
+        a, b, sign, tau, _, r, _ = tower.pieces[i]
+        assert tower.bases[i] < x < tower.ends[i]
+        assert sign * x + tau >= b if k == 0 else sign * x + tau < a
+        for n in (r, r + 1, r + 3):
+            assert (count_returns(spec, x, n, edges, [tower])
+                    == count_visits(spec, x, n, edges)), (k, n)
 
 
 def _sqrt3_4iet():
@@ -410,11 +442,11 @@ def test_a_tower_past_its_floor_cap_serves_a_later_run(monkeypatch):
     monkeypatch.setattr(iet, "_grow", grow_spy)
     for first in (5, 10, 20, 50):
         towers, capped[:] = [], []
-        assert (iet._count_through(spec, x0, first, edges, towers)
+        assert (count_returns(spec, x0, first, edges, towers)
                 == _bins_by_bisect(pts[:first], edges))
         assert capped[-1], first
         for n in (first + 1, 1487, 1500):
-            assert (iet._count_through(spec, x0, n, edges, towers)
+            assert (count_returns(spec, x0, n, edges, towers)
                     == _bins_by_bisect(pts[:n], edges)), (first, n)
         assert len(towers) == 1
 
@@ -422,14 +454,14 @@ def test_a_tower_past_its_floor_cap_serves_a_later_run(monkeypatch):
 def _census_runs(monkeypatch):
     """Spy on the census: each run's start, counts and the towers it was
     given, after the run."""
-    through, runs = iet._count_through, []
+    through, runs = count_returns, []
 
     def spy(spec, x0, n_steps, edges, towers):
         counts = through(spec, x0, n_steps, edges, towers)
         runs.append((x0, counts, towers))
         return counts
 
-    monkeypatch.setattr("ietlab.measures._count_through", spy)
+    monkeypatch.setattr("ietlab.measures.count_returns", spy)
     return runs
 
 
@@ -464,7 +496,8 @@ def test_census_counts_as_each_start_alone(monkeypatch):
         assert len(runs[-1][2]) < len(starts) or not spec.oriented, spec
         edges = _bin_edges(spec, DEFAULT_BINS)
         for x0, counts, _ in runs[:]:     # alone, each start is a run more
-            assert counts == count_returns(spec, x0, 20000, edges), (spec, x0)
+            alone = count_returns(spec, x0, 20000, edges, [])
+            assert counts == alone, (spec, x0)
             assert (tuple(c / 20000 for c in counts)
                     == empirical_measure(spec, x0, 20000).masses)
 
@@ -472,13 +505,21 @@ def test_census_counts_as_each_start_alone(monkeypatch):
 def test_census_of_a_flip_spec_keeps_a_window_per_start(monkeypatch):
     # 0.1 and 0.2 make one periodic component of x -> 0.3 - x, and each
     # lands in the other's window within two steps
+    window, windows = iet._window_tower, []
+
+    def window_spy(spec, x, inner):
+        windows.append(window(spec, x, inner))
+        return windows[-1]
+
+    monkeypatch.setattr(iet, "_window_tower", window_spy)
     runs = _census_runs(monkeypatch)
     spec = validate((0.3, 0.7), (1, 2), (-1, 1), mode="float")
     census = estimate_ergodic_count(spec, [0.1, 0.2, 0.5], 1000)
     assert census.non_minimal_flag
     assert [x0 for x0, _, _ in runs] == [0.1, 0.2, 0.5]
-    for x0, _, towers in runs:
-        assert len(towers) == 1 and towers[0].j0 <= x0 < towers[0].j1
+    assert len(windows) == 3
+    for (x0, _, _), tower in zip(runs, windows):
+        assert tower.j0 <= x0 < tower.j1
 
 
 def test_a_census_repeated_costs_and_counts_the_same(monkeypatch):

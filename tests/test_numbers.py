@@ -333,7 +333,9 @@ def _check_against_reference(x, y, d):
     """Every operator, reflected form and comparison of x with y, and the
     unary operations and conversions of x, against the reference."""
     a, b = x.a, x.b
-    assert hash(x) == hash((a, b, d))
+    for twin in (quad(a, b, d), copy.copy(x),
+                 pickle.loads(pickle.dumps(x))):
+        assert twin == x and hash(twin) == hash(x)
     assert repr(x) == f"({a} + {b}*sqrt({d}))"
     assert float(x) == float(a) + float(b) * math.sqrt(d)
     assert math.floor(x) == _ref_floor(a, b, d)

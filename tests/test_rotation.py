@@ -38,6 +38,13 @@ def test_rotation_number_exact_convergents():
     assert rn.convergents[-1] == Fraction(144, 89)
 
 
+def test_rotation_number_without_a_truncation_is_nan():
+    # d = 0: the one truncation at depth 1 divides by a zero tail
+    rn = rotation_number([((1, 1), (1, 0))], depth=1)
+    assert rn.convergents == () and math.isnan(rn.value)
+    assert not rn.converged and rn.depth == 0
+
+
 def test_rotation_number_cycles_short_sequences():
     # one period of data, extended periodically
     a = rotation_number([FIB, ((3, 1), (2, 1))], depth=30)
@@ -273,6 +280,9 @@ def test_same_field_surds_share_tails_iff_cycles_meet():
     # the complete quotients of sqrt(94) repeat with period 16
     (lambda: modular_equivalent(quad(0, 1, 94), PHI, depth=15),
      errors.PrecisionLoss, "no cycle within 15 complete quotients"),
+    # 1e-13 is 0 plus a remainder no larger than its error: one quotient
+    (lambda: modular_equivalent(1e-13, float(PHI)), errors.PrecisionLoss,
+     "fewer than 5 stable partial quotients"),
     # the shape of every matrix is checked before any determinant
     (lambda: rotation_number([((1, 0, 0), (0, 1, 0), (0, 0, 1))]),
      errors.IETLabError, "rotation numbers need 2x2 matrices"),
@@ -286,7 +296,8 @@ def test_same_field_surds_share_tails_iff_cycles_meet():
     (lambda: MoebiusMatrix.from_rows(((2, 1),)), errors.IETLabError,
      "rotation numbers need 2x2 matrices"),
 ], ids=["rotation-empty", "rotation-depth-0", "modular-depth-4",
-        "modular-cycle-past-depth", "rotation-3x3", "surd-3x3-after-det-0",
+        "modular-cycle-past-depth", "modular-float-one-quotient",
+        "rotation-3x3", "surd-3x3-after-det-0",
         "rotation-ragged", "from-rows-2x3", "from-rows-1x2"])
 def test_rotation_refusals(call, error, message):
     with pytest.raises(error) as exc_info:

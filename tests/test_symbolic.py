@@ -64,6 +64,8 @@ def test_block_complexity_sturmian():
 def test_block_complexity_needs_prefix():
     with pytest.raises(errors.PrefixTooShort):
         block_complexity(Ray((1, 2)), 5)
+    with pytest.raises(errors.PrefixTooShort):
+        uniformity_ratio(Ray((1, 2)), 5)
 
 
 def test_transitivity_and_covering_indices():
