@@ -380,6 +380,19 @@ def main(argv=None) -> int:
 
     try:
         result, to_csv = args.run(args)
+        doc = {"subcommand": args.subcommand, "config": config,
+               "result": result}
+        if args.format == "json":
+            payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        elif args.format == "csv":
+            if to_csv is None:
+                sys.stderr.write("usage error: no CSV form for subcommand "
+                                 f"{args.subcommand!r}\n")
+                return 2
+            payload = to_csv()
+        else:
+            payload = _text_payload(doc)
+        _write(args, payload)       # an unwritable --out is an OSError
     except IETLabError as exc:
         step = getattr(exc, "step", None)
         where = "" if step is None else f" at step {step}"
@@ -388,19 +401,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-
-    doc = {"subcommand": args.subcommand, "config": config, "result": result}
-    if args.format == "json":
-        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    elif args.format == "csv":
-        if to_csv is None:
-            sys.stderr.write("usage error: no CSV form for subcommand "
-                             f"{args.subcommand!r}\n")
-            return 2
-        payload = to_csv()
-    else:
-        payload = _text_payload(doc)
-    _write(args, payload)
     return 0
 
 

@@ -18,8 +18,10 @@ One orbit loop, `_record`, reads those rows.  `evaluate`, `orbit`,
 `keane_condition` and `count_visits` all step through it; `count_visits`
 records its orbit a block at a time and bins each block.  The census,
 `count_returns`, reads the same rows a piece of a first-return tower at a
-time and steps through `_record` only where no piece applies; the oriented
-starts of one census ride the towers they share.
+time.  A tower's pieces tile [0, 1); the stretches outside its window and
+the float slivers are dead pieces, and every step that no live piece takes
+is one step of `_record`.  The oriented starts of one census ride the
+towers they share.
 Float mode rounds each image once, in that one addition or subtraction,
 and then clamps it into [lo, hi): an image that rounded onto hi or past it
 becomes nextafter(hi, 0), one that rounded below lo becomes lo.  So every
@@ -44,7 +46,7 @@ KEANE_FLOAT_TOL = 1e-10  # collision tolerance, below drift of 1e4 isometry step
 _BLOCK = 8192            # orbit points recorded at a time on long runs
 _WINDOW = Fraction(1, 50)  # length of the census window J, see count_returns
 _APPROACH = int(4 / _WINDOW)  # steps a census start walks to a shared window
-_SLIVER = 1e-12          # float tower pieces at most this wide are dropped
+_SLIVER = 1e-12          # float tower pieces at most this wide are dead
 
 
 def is_irreducible(pi: Sequence[int]) -> bool:
@@ -277,19 +279,20 @@ def count_returns(spec: IETSpec, x0, n_steps: int, edges,
     """The counts of `count_visits`, taken through the first-return tower
     over a window J of length l = `_WINDOW` on the orbit, cut to [0, 1).
 
-    J splits into pieces, each climbing floors outside J until one lies in
-    J: on a piece the return time r, the bin of every floor and the map
-    y -> sign*y + tau onto the return floor are constant.  A point strictly
-    inside a piece takes the whole return at once, and a run of returns
-    that comes back to a point repeats as often as it fits.  Any other
-    point steps through `_record`, and the last r or fewer iterates go to
-    `count_visits`.  The tower is built where the walk lands (`_grow`), so
-    thin pieces with long returns that no point meets cost nothing; past
-    n_steps floors built, the rest of the run goes to `count_visits`.
+    The tower's pieces tile [0, 1).  Each live piece lies in J and climbs
+    floors outside J until one lies in J: on it the return time r, the bin
+    of every floor and the map y -> sign*y + tau onto the return floor are
+    constant.  A point strictly inside a live piece takes the whole return
+    at once, and a run of returns that comes back to a point repeats as
+    often as it fits.  Every other step is one step of `_record`: before
+    the run has a tower, on a piece's base end, on a dead piece (outside J,
+    or a float sliver), on the last partial return (r > the steps left),
+    and on an unbuilt piece once n_steps floors are built.  The tower is
+    built where the walk lands (`_grow`), so thin pieces with long returns
+    that no point meets cost nothing.
 
     A float return is one rounding, not r, and is clamped into the return
-    floor as `_record` clamps a step; a float piece at most `_SLIVER` wide
-    is dropped, so its points step through `_record`.
+    floor as `_record` clamps a step.
 
     `towers` holds the towers that earlier runs over the same spec and
     edges built; a run on its own passes [] and centres J at x0.  Given
@@ -310,37 +313,32 @@ def count_returns(spec: IETSpec, x0, n_steps: int, edges,
     towers = towers if spec.oriented else []
     counts = [0] * (len(edges) - 1)
     br, nxt, left, budget = bisect_right, math.nextafter, n_steps, n_steps
-
-    def landing(y):
-        return next((t for t in towers if t.j0 <= y < t.j1), None)
-
-    tower = landing(x)
-    while tower is None and towers and n_steps - left < _APPROACH < n_steps:
-        counts[br(inner, x)] += 1
-        x = _record(spec, x, 1)[0][1]
-        left -= 1
-        tower = landing(x)
-    if tower is None:
-        tower = _window_tower(spec, x, inner)
-        towers.append(tower)
-    bases, ends, pieces = tower.bases, tower.ends, tower.pieces
+    # until the run has a tower, one dead piece tiles [0, 1)
+    tower, bases, pieces = None, [spec.beta[0]], [[0, 0, 1, 0, [], -1, 0]]
     # Brent's cycle search over the returns: a marked return point, moved
     # on after 1, 2, 4, ... returns, and the pieces taken since it
     mark, path, lap = -1, [], 1
     while left:
         i = br(bases, x) - 1
-        if i < 0 or not bases[i] < x < ends[i]:
+        piece = pieces[i]
+        lo, hi, sign, tau, _, r, _ = piece
+        if x == bases[i] or r < 0 or r > left or not r and budget < 0:
+            if tower is None:
+                tower = next((t for t in towers if t.j0 <= x < t.j1), None)
+                if tower is None and not (
+                        towers and n_steps - left < _APPROACH < n_steps):
+                    tower = _window_tower(spec, x, inner)
+                    towers.append(tower)
+                if tower is not None:
+                    bases, pieces = tower.bases, tower.pieces
+                    continue
             mark, path, lap = -1, [], 1
             counts[br(inner, x)] += 1
             x = _record(spec, x, 1)[0][1]
             left -= 1
             continue
-        piece = pieces[i]
-        lo, hi, sign, tau, _, r, _ = piece
         if not r:
             budget -= _grow(spec, tower, i, inner, budget)
-            if budget < 0:
-                break
             continue
         if x == mark:                  # back at the mark: repeat the cycle
             laps = left // sum(p[5] for p in path)
@@ -351,8 +349,6 @@ def count_returns(spec: IETSpec, x0, n_steps: int, edges,
             continue
         if len(path) == lap:
             mark, path, lap = x, [], 2 * lap
-        if r > left:
-            break
         path.append(piece)
         piece[6] += 1
         left -= r
@@ -367,29 +363,32 @@ def count_returns(spec: IETSpec, x0, n_steps: int, edges,
             for b in piece[4]:
                 counts[b] += piece[6]
             piece[6] = 0
-    tail = count_visits(spec, x, left, edges)
-    return [c + t for c, t in zip(counts, tail)]
+    return counts
 
 
 class _Tower(NamedTuple):
     """A first-return tower over J = [j0, j1), built as far as `_grow` has
-    taken it: the points where floors split, the open bases (u, v) of the
-    pieces, in order, and each piece as [a, b, sign, tau, bins, r, visits],
-    visits being the returns through it in the run that rides the tower."""
+    taken it: the points where floors split, and pieces that tile [0, 1),
+    piece i over the base [bases[i], bases[i + 1]) (the last one up to 1),
+    each as [a, b, sign, tau, bins, r, visits], visits being the returns
+    through it in the run that rides the tower.  r is -1 on a dead piece,
+    which no run rides: the stretches outside J, and the float slivers."""
     j0: object
     j1: object
     marks: list
     bases: list
-    ends: list
     pieces: list
 
 
 def _window_tower(spec: IETSpec, x, inner) -> _Tower:
-    """The unbuilt tower over the window around x: one piece, J itself."""
+    """The unbuilt tower over the window around x: J, one unbuilt piece,
+    between the dead pieces over [0, j0) and [j1, 1)."""
     half = _WINDOW / 2 if spec.mode == "exact" else float(_WINDOW) / 2
     j0, j1 = max(x - half, spec.beta[0]), min(x + half, spec.beta[-1])
     marks = sorted(set(spec.cuts).union(inner, (j0, j1)))
-    return _Tower(j0, j1, marks, [j0], [j1], [[j0, j1, 1, 0 * j0, [], 0, 0]])
+    dead = [j0, j1, 1, 0 * j0, [], -1, 0]
+    return _Tower(j0, j1, marks, [spec.beta[0], j0, j1],
+                  [dead, [j0, j1, 1, 0 * j0, [], 0, 0], dead])
 
 
 def _grow(spec: IETSpec, tower: _Tower, i: int, inner,
@@ -402,14 +401,14 @@ def _grow(spec: IETSpec, tower: _Tower, i: int, inner,
     and the bin of each floor climbed; r is 0 until the piece is closed.
     Where a mark (a cut, an inner bin edge, j0 or j1) lies strictly inside
     the floor, the piece splits there into two, and a float half at most
-    `_SLIVER` wide is dropped.  Otherwise the floor has one bin and one
+    `_SLIVER` wide is dead.  Otherwise the floor has one bin and one
     branch, so every point strictly inside the base follows it, and it
     climbs by that branch.  A floor in J after step 0 closes the piece,
     with r its return time and [a, b) its return floor.  A piece that runs
     past max_floors keeps the floor it reached, so a later call goes on
     from there.
     """
-    j0, j1, marks, bases, ends, pieces = tower
+    j0, j1, marks, bases, pieces = tower
     a, b, sign, tau, bins = pieces[i][:5]
     rows, cuts, br = spec.branches, spec.cuts, bisect_right
     for floors in range(max_floors + 1):
@@ -418,19 +417,17 @@ def _grow(spec: IETSpec, tower: _Tower, i: int, inner,
             return floors
         k = br(marks, a)
         if k < len(marks) and marks[k] < b:
-            c, u, v = marks[k], bases[i], ends[i]
+            c, u, v = marks[k], bases[i], bases[i + 1]
             s = min(max(sign * (c - tau), u), v)   # the base point over c
             lower, upper = [a, c, sign, tau, bins, 0, 0], [c, b, sign, tau,
                                                            bins[:], 0, 0]
-            halves = [(u, s, lower), (s, v, upper)]
-            if sign < 0:
-                halves = [(u, s, upper), (s, v, lower)]
+            halves = [lower, upper] if sign > 0 else [upper, lower]
             if spec.mode == "float":
-                halves = [h for h in halves if h[1] - h[0] > _SLIVER
-                          and h[2][1] - h[2][0] > _SLIVER]
-            bases[i:i + 1] = [h[0] for h in halves]
-            ends[i:i + 1] = [h[1] for h in halves]
-            pieces[i:i + 1] = [h[2] for h in halves]
+                for half, width in zip(halves, (s - u, v - s)):
+                    if min(width, half[1] - half[0]) <= _SLIVER:
+                        half[5] = -1
+            bases.insert(i + 1, s)
+            pieces[i:i + 1] = halves
             return floors
         bins.append(br(inner, a))
         step, shift = rows[br(cuts, a)][:2]

@@ -207,8 +207,6 @@ def _float_quotients(x: float, depth: int):
         a = math.floor(value)
         quotients.append(a)
         frac = value - a
-        if frac <= err:
-            break
         value = 1.0 / frac
         err = err / (frac * frac)
         if err > 0.49:

@@ -243,6 +243,20 @@ def test_out_dir_env(golden_path, tmp_path, monkeypatch):
     assert doc["result"]["k0_rank"] == 3
 
 
+@pytest.mark.parametrize("out", ["missing/out.json", "."],
+                         ids=["missing-dir", "a-dir"])
+def test_unwritable_out_is_a_usage_error(out, golden_path, tmp_path, capsys):
+    argv = ["eval", "--spec", golden_path, "--x", "0.1"]
+    assert main(argv + ["--out", str(tmp_path / out)]) == 2
+    assert _one_line_error(capsys).startswith("usage error: ")
+
+
+def test_unwritable_out_dir_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("IETLAB_OUT_DIR", str(tmp_path / "missing"))
+    assert main(["bounds", "--n", "4", "--oriented"]) == 2
+    assert _one_line_error(capsys).startswith("usage error: ")
+
+
 def _one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,7 +1,9 @@
 """Fuzzed command lines and input files for every subcommand.
 
-Whatever the arguments and files, `cli.main` returns 0, 1 or 2 and never
-raises; a failure is one line on stderr; a JSON result fits the schema.
+Whatever the arguments, files and output path, `cli.main` returns 0, 1 or
+2 and never raises; a failure is one line on stderr; a JSON result fits the
+schema.  An --out that cannot be written (under a missing directory, or a
+directory) never exits 0.
 """
 
 import contextlib
@@ -104,7 +106,8 @@ def values(draw, usual, wild=POOL):
 
 @st.composite
 def invocations(draw):
-    """(argv without its input files and --out, {file flag: document})."""
+    """(argv without its input files and --out, {file flag: document},
+    --out relative to a fresh directory)."""
     sub = draw(st.sampled_from(sorted(FLAGS)))
     argv = [sub]
     for flag, usual in FLAGS[sub].items():
@@ -132,25 +135,27 @@ def invocations(draw):
         keep = draw(st.sampled_from([{"--spec"}, {"--matrices"}, set(files),
                                      set()]))
         files = {k: v for k, v in files.items() if k in keep}
-    return argv, files
+    out = draw(st.sampled_from(["out"] * 8 + ["missing/out", "."]))
+    return argv, files, out
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(invocations())
 def test_fuzzed_invocations_exit_cleanly(invocation):
-    argv, files = invocation
+    argv, files, out = invocation
     with tempfile.TemporaryDirectory() as tmp:
         for flag, doc in files.items():
             path = Path(tmp) / f"{flag[2:]}.json"
             path.write_text(json.dumps(doc))
             argv = argv + [flag, str(path)]
-        out = Path(tmp) / "out"
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main(argv + ["--out", str(out)])
+            code = main(argv + ["--out", str(Path(tmp) / out)])
         assert code in (0, 1, 2), argv
+        assert code or out == "out", (argv, out)
         if code:
             assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
             assert "Traceback" not in err.getvalue()
         elif argv[argv.index("--format") + 1] == "json":
-            jsonschema.validate(json.loads(out.read_text()), SCHEMA)
+            jsonschema.validate(json.loads((Path(tmp) / out).read_text()),
+                                SCHEMA)

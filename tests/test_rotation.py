@@ -280,7 +280,8 @@ def test_same_field_surds_share_tails_iff_cycles_meet():
     # the complete quotients of sqrt(94) repeat with period 16
     (lambda: modular_equivalent(quad(0, 1, 94), PHI, depth=15),
      errors.PrecisionLoss, "no cycle within 15 complete quotients"),
-    # 1e-13 is 0 plus a remainder no larger than its error: one quotient
+    # 1e-13 is 0 plus a remainder no larger than its error, whose next
+    # error passes 0.49: one quotient
     (lambda: modular_equivalent(1e-13, float(PHI)), errors.PrecisionLoss,
      "fewer than 5 stable partial quotients"),
     # the shape of every matrix is checked before any determinant
