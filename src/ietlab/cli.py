@@ -398,6 +398,9 @@ def main(argv=None) -> int:
         where = "" if step is None else f" at step {step}"
         sys.stderr.write(f"error: {exc}{where}\n")
         return 1
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
+        return 1
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2

@@ -16,12 +16,13 @@ where v_i = [left, ...) goes onto the target [lo, hi):
 
 One orbit loop, `_record`, reads those rows.  `evaluate`, `orbit`,
 `keane_condition` and `count_visits` all step through it; `count_visits`
-records its orbit a block at a time and bins each block.  The census,
+counts the orbit in one interval a block at a time, bit for bit.  The census,
 `count_returns`, reads the same rows a piece of a first-return tower at a
 time.  A tower's pieces tile [0, 1); the stretches outside its window and
 the float slivers are dead pieces, and every step that no live piece takes
 is one step of `_record`.  The oriented starts of one census ride the
-towers they share.
+towers they share.  A float return rounds once, so a census equals the
+orbit's counts in exact mode and on edges away from orbit points.
 Float mode rounds each image once, in that one addition or subtraction,
 and then clamps it into [lo, hi): an image that rounded onto hi or past it
 becomes nextafter(hi, 0), one that rounded below lo becomes lo.  So every
@@ -32,7 +33,7 @@ float image lies in its branch's target, and an orbit never leaves
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -247,37 +248,27 @@ def orbit(spec: IETSpec, x0, n_steps: int) -> Orbit:
     return Orbit(x0, tuple(pts), tuple(idx))
 
 
-def count_visits(spec: IETSpec, x0, n_steps: int, edges) -> list[int]:
-    """Visits of x0, T(x0), ..., T^(n_steps-1)(x0) to the bins
-    [edges[k], edges[k+1]); the first bin also takes points below its left
-    edge, the last bin points at or past its right edge.
+def count_visits(spec: IETSpec, x0, n_steps: int, lo, hi) -> int:
+    """Visits of x0, T(x0), ..., T^(n_steps-1)(x0) to [lo, hi), with lo
+    and hi in the spec's arithmetic: the iterates of `orbit`, bit for bit.
 
-    The edges must be sorted; they are compared in the spec's arithmetic.
     The orbit is recorded `_BLOCK` points at a time by the one orbit loop,
-    so memory stays bounded for censuses of millions of steps.  Each block
-    is sorted and bisected once per edge.
+    so memory stays bounded for averages of millions of steps.
     """
-    edges = [_scalar(spec, e) for e in edges]
-    counts = [0] * (len(edges) - 1)
-    last = len(counts) - 1
-    x = _start(spec, x0)
+    lo, hi, x = _scalar(spec, lo), _scalar(spec, hi), _start(spec, x0)
+    count = 0
     for done in range(0, n_steps, _BLOCK):
         pts, _ = _record(spec, x, min(_BLOCK, n_steps - done))
         x = pts.pop()
-        pts.sort()
-        below = 0
-        for k in range(last):
-            upto = bisect_left(pts, edges[k + 1], below)
-            counts[k] += upto - below
-            below = upto
-        counts[last] += len(pts) - below
-    return counts
+        count += len([p for p in pts if lo <= p < hi])
+    return count
 
 
 def count_returns(spec: IETSpec, x0, n_steps: int, edges,
                   towers: list) -> list[int]:
-    """The counts of `count_visits`, taken through the first-return tower
-    over a window J of length l = `_WINDOW` on the orbit, cut to [0, 1).
+    """Bin counts of x0, ..., T^(n_steps-1)(x0) between the sorted edges,
+    the outer bins taking the points past them, through the first-return
+    tower over a window J of length l = `_WINDOW` on the orbit, cut to [0, 1).
 
     The tower's pieces tile [0, 1).  Each live piece lies in J and climbs
     floors outside J until one lies in J: on it the return time r, the bin
@@ -291,8 +282,9 @@ def count_returns(spec: IETSpec, x0, n_steps: int, edges,
     built where the walk lands (`_grow`), so thin pieces with long returns
     that no point meets cost nothing.
 
-    A float return is one rounding, not r, and is clamped into the return
-    floor as `_record` clamps a step.
+    A float return is one rounding, not r, clamped into the return floor as
+    `_record` clamps a step: exact counts are the orbit's, and float counts
+    differ only where the orbit comes within rounding of a cut or an edge.
 
     `towers` holds the towers that earlier runs over the same spec and
     edges built; a run on its own passes [] and centres J at x0.  Given

@@ -3,7 +3,9 @@ census of distinct measures seen from many starting points.
 
 Each histogram is counted by `iet.count_returns`, through the
 first-return tower over a short window on its orbit, so an N-step orbit
-costs about N/50 returns; `birkhoff_average` counts its orbit pointwise.
+costs about N/50 returns, rounding once per float return: a histogram
+equals the orbit's counts in exact mode and on edges away from orbit
+points.  `birkhoff_average` counts the iterates of `iet.orbit` bit for bit.
 The starts of one census hand `count_returns` one list of towers, which
 lives for one `estimate_ergodic_count` call, in `_CENSUS`; `count_returns`
 decides which starts share a tower.
@@ -52,13 +54,13 @@ class MeasureCensus(NamedTuple):
 
 def birkhoff_average(spec: IETSpec, x0, target_interval, n_steps: int) -> float:
     """Time average of the indicator of [lo, hi) over the first n_steps
-    iterates of x0."""
+    iterates of x0, with lo and hi compared in the spec's arithmetic."""
     lo, hi = target_interval
     if not (0 <= lo < hi <= 1):
         raise DomainError(f"target interval [{lo}, {hi}) not inside [0, 1]")
     if n_steps < 1:
         raise DomainError("need at least one iterate")
-    return count_visits(spec, x0, n_steps, (0, lo, hi, 1))[1] / n_steps
+    return count_visits(spec, x0, n_steps, lo, hi) / n_steps
 
 
 def _bin_edges(spec: IETSpec, bins: int) -> list:

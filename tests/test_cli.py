@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -255,6 +256,30 @@ def test_unwritable_out_dir_is_a_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("IETLAB_OUT_DIR", str(tmp_path / "missing"))
     assert main(["bounds", "--n", "4", "--oriented"]) == 2
     assert _one_line_error(capsys).startswith("usage error: ")
+
+
+def test_out_of_memory_is_one_line(golden_path, monkeypatch, capsys):
+    def edges(spec, bins):
+        raise MemoryError
+
+    monkeypatch.setattr("ietlab.measures._bin_edges", edges)
+    assert main(["measures", "--spec", golden_path, "--steps", "10"]) == 1
+    assert _one_line_error(capsys) == "error: out of memory\n"
+
+
+def test_out_of_memory_in_a_cli_process(golden_path):
+    # 10^8 starts need about 3 GB; the child alone runs under a 256 MiB
+    # address-space cap (`ulimit -v`)
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 28, 2 ** 28))
+
+    proc = subprocess.run([sys.executable, "-m", "ietlab.cli", "measures",
+                           "--spec", golden_path, "--steps", "10",
+                           "--starts", "100000000"], env=_child_env(),
+                          capture_output=True, text=True, preexec_fn=cap,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: out of memory\n")
 
 
 def _one_line_error(capsys):

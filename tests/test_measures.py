@@ -63,6 +63,20 @@ def test_birkhoff_rejects_bad_interval():
         birkhoff_average(half_swap(), Fraction(1, 4), (0, 1), 0)
 
 
+def test_birkhoff_compares_its_target_in_the_spec_arithmetic():
+    # float(1/3) < 1/3: a float spec reads the end 1/3 as that float, so
+    # the point 1/3 (the same float) lies outside [0, 1/3)
+    assert birkhoff_average(golden_float(), 1 / 3, (0, Fraction(1, 3)),
+                            1) == 0.0
+    # an exact spec reads the float 1/3 as the Fraction of its binary value
+    a, third = golden_alpha(), Fraction(1 / 3)
+    for spec in (half_swap(), validate((1 - a, a), (2, 1))):
+        assert birkhoff_average(spec, third, (0, 1 / 3), 1) == 0.0
+        assert birkhoff_average(spec, third - Fraction(1, 2 ** 60),
+                                (0, 1 / 3), 1) == 1.0
+        assert birkhoff_average(spec, Fraction(1, 3), (0.0, 1 / 3), 1) == 0.0
+
+
 def test_empirical_measure_identity_single_bin():
     m = empirical_measure(identity_spec(), Fraction(1, 3), 500, bins=8)
     assert sum(m.masses) == pytest.approx(1.0, abs=1e-12)
@@ -239,9 +253,19 @@ def _visits_by_bisect(spec, x0, n_steps, edges):
     return _bins_by_bisect(points[:n_steps], edges)
 
 
+def _assert_each_bin(spec, x0, n_steps, edges):
+    # count_visits on each bin [edges[k], edges[k+1]) against the bisect
+    # reference over [0, *edges, 1]: its extra bins [0, edges[0]) and
+    # [edges[-1], 1) take the points outside the edges, and are dropped
+    assert ([count_visits(spec, x0, n_steps, lo, hi)
+             for lo, hi in zip(edges, edges[1:])]
+            == _visits_by_bisect(spec, x0, n_steps, [0, *edges, 1])[1:-1]), (
+        spec, x0, n_steps, edges)
+
+
 @pytest.mark.parametrize("flips", [False, True], ids=["oriented", "flips"])
 def test_count_visits_across_block_boundaries(flips):
-    # the census records 8192 points at a time
+    # count_visits records 8192 points at a time
     rng = random.Random(f"blocks:{flips}")
     for _ in range(3):
         spec = _random_float_4iet(rng, flips)
@@ -250,8 +274,7 @@ def test_count_visits_across_block_boundaries(flips):
         for edges in (_bin_edges(spec, 64),
                       [0.0, lo, lo + rng.uniform(0.0, 0.5), 1.0]):
             for n in (1, 8191, 8192, 8193, 2 * 8192 + 1):
-                assert (count_visits(spec, x0, n, edges)
-                        == _visits_by_bisect(spec, x0, n, edges)), (spec, n)
+                _assert_each_bin(spec, x0, n, edges)
 
 
 def test_count_visits_exact_rational_spec():
@@ -260,16 +283,15 @@ def test_count_visits_exact_rational_spec():
     edges = [Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(5, 7), 1]
     x0 = Fraction(1, 13)
     for n in (1, 8192, 8193):
-        assert (count_visits(spec, x0, n, edges)
-                == _visits_by_bisect(spec, x0, n, edges))
+        _assert_each_bin(spec, x0, n, edges)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_count_visits_outer_bins_take_points_outside_the_edges(mode):
+def test_count_returns_outer_bins_take_points_outside_the_edges(mode):
     # the orbit 1/4, 3/4, 1/4, ... lies below the first edge and on the last
     spec = validate((Fraction(1, 2), Fraction(1, 2)), (2, 1), mode=mode)
     edges = (Fraction(1, 2), Fraction(5, 8), Fraction(3, 4))
-    assert count_visits(spec, Fraction(1, 4), 5, edges) == [3, 2]
+    assert count_returns(spec, Fraction(1, 4), 5, edges, []) == [3, 2]
 
 
 def test_count_visits_exact_matches_the_bisect_reference():
@@ -292,8 +314,7 @@ def test_count_visits_exact_matches_the_bisect_reference():
                       + list(orbit(spec, Fraction(1, 10), 3).points))
             for x0, n in [(starts[0], 8193)] + [(x, k) for x in starts
                                                  for k in (1, 300)]:
-                assert (count_visits(spec, x0, n, edges)
-                        == _visits_by_bisect(spec, x0, n, edges)), (spec, x0, n)
+                _assert_each_bin(spec, x0, n, edges)
 
 
 def _assert_tiles(spec, tower):
@@ -374,11 +395,12 @@ def _float_tower_corpus():
     return cases + [(_seed2_flip_spec(), 0.0765)]
 
 
-def test_count_returns_float_matches_count_visits():
+def test_count_returns_float_matches_the_orbit():
     for spec, x0 in _float_tower_corpus():
         edges = _bin_edges(spec, 64)
         assert (count_returns(spec, x0, 20000, edges, [])
-                == count_visits(spec, x0, 20000, edges)), (spec, x0)
+                == _bins_by_bisect(orbit(spec, x0, 19999).points, edges)), (
+            spec, x0)
 
 
 def test_float_tower_drops_slivers():
@@ -395,26 +417,20 @@ def test_float_tower_drops_slivers():
 
 def test_count_returns_past_the_floor_cap_is_count_visits(monkeypatch):
     # the first piece over [0.29, 0.31) climbs more than 10 floors, so a
-    # 10-step run builds 11 floors and steps all 10 steps pointwise, with
-    # no call of count_visits
+    # 10-step run builds 11 floors and steps all 10 steps pointwise
     spec, x0 = golden_float(), 0.3
     edges = _bin_edges(spec, 64)
-    grow, visits, floors, calls = iet._grow, iet.count_visits, [], []
+    grow, floors = iet._grow, []
 
     def grow_spy(*args):
         floors.append(grow(*args))
         return floors[-1]
 
-    def visits_spy(*args):
-        calls.append(args[1:3])
-        return visits(*args)
-
     monkeypatch.setattr(iet, "_grow", grow_spy)
-    monkeypatch.setattr(iet, "count_visits", visits_spy)
     assert (count_returns(spec, x0, 10, edges, [])
-            == count_visits(spec, x0, 10, edges))
+            == [count_visits(spec, x0, 10, lo, hi)
+                for lo, hi in zip(edges, edges[1:])])
     assert sum(floors) == 11
-    assert calls == []
 
 
 def test_a_float_return_is_clamped_into_its_floor():
@@ -435,9 +451,10 @@ def test_a_float_return_is_clamped_into_its_floor():
         a, b, sign, tau, _, r, _ = tower.pieces[i]
         assert tower.bases[i] < x < tower.bases[i + 1]
         assert sign * x + tau >= b if k == 0 else sign * x + tau < a
+        pts = orbit(spec, x, r + 2).points
         for n in (r, r + 1, r + 3):
             assert (count_returns(spec, x, n, edges, [tower])
-                    == count_visits(spec, x, n, edges)), (k, n)
+                    == _bins_by_bisect(pts[:n], edges)), (k, n)
 
 
 def _sqrt3_4iet():
@@ -495,13 +512,14 @@ def test_census_shares_exact_towers_bit_for_bit(monkeypatch):
         runs.clear()
         census = estimate_ergodic_count(spec, starts, n, bins=16)
         assert len(runs) == 16
+        visits = {float(x0): _bins_by_bisect(orbit(spec, x0, n - 1).points,
+                                             edges) for x0 in starts}
         for x0, counts, towers in runs:
-            assert counts == count_visits(spec, x0, n, edges), (spec, x0)
+            assert counts == visits[float(x0)], (spec, x0)
             assert towers is runs[0][2]
         assert len(runs[0][2]) < 4, spec           # starts share windows
         for m, _ in census.clusters:
-            assert m.masses == tuple(
-                c / n for c in count_visits(spec, m.start, n, edges))
+            assert m.masses == tuple(c / n for c in visits[m.start])
 
 
 def test_census_counts_as_each_start_alone(monkeypatch):
