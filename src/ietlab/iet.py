@@ -22,7 +22,12 @@ time.  A tower's pieces tile [0, 1); the stretches outside its window and
 the float slivers are dead pieces, and every step that no live piece takes
 is one step of `_record`.  The oriented starts of one census ride the
 towers they share.  A float return rounds once, so a census equals the
-orbit's counts in exact mode and on edges away from orbit points.
+orbit's counts in exact mode and on edges away from orbit points.  An IET
+is a bijection of [0, 1), so its first-return map on a window is injective
+and a cycle of returns has no tail: it comes back to its own first point,
+where a census run closes it.  Float rounding can make the return map
+non-injective; a cycle entered after a tail is then stepped return by
+return, which costs time but never changes a count.
 Float mode rounds each image once, in that one addition or subtraction,
 and then clamps it into [lo, hi): an image that rounded onto hi or past it
 becomes nextafter(hi, 0), one that rounded below lo becomes lo.  So every
@@ -274,13 +279,19 @@ def count_returns(spec: IETSpec, x0, n_steps: int, edges,
     floors outside J until one lies in J: on it the return time r, the bin
     of every floor and the map y -> sign*y + tau onto the return floor are
     constant.  A point strictly inside a live piece takes the whole return
-    at once, and a run of returns that comes back to a point repeats as
-    often as it fits.  Every other step is one step of `_record`: before
-    the run has a tower, on a piece's base end, on a dead piece (outside J,
-    or a float sliver), on the last partial return (r > the steps left),
-    and on an unbuilt piece once n_steps floors are built.  The tower is
-    built where the walk lands (`_grow`), so thin pieces with long returns
-    that no point meets cost nothing.
+    at once.  The mark is where the run's first return lands, or the
+    first after a pointwise step or a closed cycle; a later return that
+    lands on it closes a cycle, whose returns repeat as often as they fit.
+    The map is a bijection, so the return map is injective and a cycle of
+    returns has no tail: it comes back to its first point, the mark.
+    Where float rounding breaks that, the run steps through the cycle
+    return by return, at a cost in time, never in counts.  Every other
+    step is one step of `_record`: before the run has a tower, on a
+    piece's base end, on a dead piece (outside J, or a float sliver), on
+    the last partial return (r > the steps left), and on an unbuilt piece
+    once n_steps floors are built.  The tower is built where the walk lands
+    (`_grow`), so thin pieces with long returns that no point meets cost
+    nothing.
 
     A float return is one rounding, not r, clamped into the return floor as
     `_record` clamps a step: exact counts are the orbit's, and float counts
@@ -307,9 +318,8 @@ def count_returns(spec: IETSpec, x0, n_steps: int, edges,
     br, nxt, left, budget = bisect_right, math.nextafter, n_steps, n_steps
     # until the run has a tower, one dead piece tiles [0, 1)
     tower, bases, pieces = None, [spec.beta[0]], [[0, 0, 1, 0, [], -1, 0]]
-    # Brent's cycle search over the returns: a marked return point, moved
-    # on after 1, 2, 4, ... returns, and the pieces taken since it
-    mark, path, lap = -1, [], 1
+    # the mark, and the pieces whose returns were taken since it
+    mark, path = None, []
     while left:
         i = br(bases, x) - 1
         piece = pieces[i]
@@ -324,7 +334,7 @@ def count_returns(spec: IETSpec, x0, n_steps: int, edges,
                 if tower is not None:
                     bases, pieces = tower.bases, tower.pieces
                     continue
-            mark, path, lap = -1, [], 1
+            mark, path = None, []
             counts[br(inner, x)] += 1
             x = _record(spec, x, 1)[0][1]
             left -= 1
@@ -337,10 +347,10 @@ def count_returns(spec: IETSpec, x0, n_steps: int, edges,
             for p in path:
                 p[6] += laps
                 left -= laps * p[5]
-            mark, path = -1, []
+            mark, path = None, []
             continue
-        if len(path) == lap:
-            mark, path, lap = x, [], 2 * lap
+        if mark is None and path:
+            mark, path = x, []
         path.append(piece)
         piece[6] += 1
         left -= r

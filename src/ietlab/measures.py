@@ -79,6 +79,9 @@ def empirical_measure(spec: IETSpec, x0, n_steps: int,
         raise DomainError(f"need at least {spec.n} bins")
     if n_steps < 1:
         raise DomainError("need at least one iterate")
+    if bins > n_steps:
+        raise DomainError(f"need at most {n_steps} bins for {n_steps} "
+                          "iterates")
     edges = _bin_edges(spec, bins)
     towers = _CENSUS.get()
     counts = count_returns(spec, x0, n_steps, edges,

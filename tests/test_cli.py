@@ -263,7 +263,7 @@ def test_out_of_memory_is_one_line(golden_path, monkeypatch, capsys):
         raise MemoryError
 
     monkeypatch.setattr("ietlab.measures._bin_edges", edges)
-    assert main(["measures", "--spec", golden_path, "--steps", "10"]) == 1
+    assert main(["measures", "--spec", golden_path, "--steps", "100"]) == 1
     assert _one_line_error(capsys) == "error: out of memory\n"
 
 
@@ -428,8 +428,11 @@ def _child_env():
     (["measures", "--bins", "1", "--spec"],
      {"lambda": ["1/3", "2/3"], "pi": [2, 1]}, 1,
      "error: need at least 2 bins"),
+    (["measures", "--steps", "10", "--bins", "11", "--spec"],
+     {"lambda": ["1/3", "2/3"], "pi": [2, 1]}, 1,
+     "error: need at most 10 bins for 10 iterates"),
 ], ids=["empty-lambda", "pi-length", "epsilon-2", "rotation-3x3",
-        "measures-bins-1"])
+        "measures-bins-1", "measures-bins-past-steps"])
 def test_refusals_of_a_cli_process(argv, file, code, message, tmp_path):
     # the whole process, from `python -m`: its exit code and one line; the
     # input file is the value of the last flag

@@ -42,8 +42,9 @@ def test_birkhoff_period_two_orbit():
 
 
 @pytest.mark.parametrize("bins, n_steps, message", [
-    (3, 10, "need at least 4 bins"), (64, 0, "need at least one iterate")],
-    ids=["bins", "iterates"])
+    (3, 10, "need at least 4 bins"), (64, 0, "need at least one iterate"),
+    (64, 10, "need at most 10 bins for 10 iterates")],
+    ids=["bins", "iterates", "bins-past-iterates"])
 def test_empirical_measure_refusals(bins, n_steps, message):
     with pytest.raises(errors.DomainError) as exc_info:
         empirical_measure(identity_spec(4), Fraction(1, 8), n_steps, bins)
@@ -378,6 +379,28 @@ def test_count_returns_exact_matches_the_orbit():
             for n in (1, back - 1, back, back + 1):
                 assert (count_returns(spec, x0, n, edges, [])
                         == _bins_by_bisect(pts[:n], edges)), (spec, x0, n)
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1, 1), (-1, 1, 1, 1)],
+                         ids=["oriented", "flips"])
+def test_count_returns_repeats_exact_cycles_over_many_laps(signs):
+    # every orbit of a rational IET is periodic, so a run's returns come
+    # back to their first point and the cycle is repeated as often as it
+    # fits; n runs to one step before, at and after a whole number of
+    # periods near 10^5
+    spec = validate((Fraction(13, 97), Fraction(29, 97), Fraction(17, 97),
+                     Fraction(38, 97)), (3, 1, 4, 2), signs)
+    edges = _bin_edges(spec, 16)
+    for x0 in (Fraction(1, 10), Fraction(1, 3)):
+        period = [x0]
+        while (x := evaluate(spec, period[-1])) != x0:
+            period.append(x)
+        laps = 10 ** 5 // len(period)
+        for n in (laps * len(period) + d for d in (-1, 0, 1)):
+            whole, part = divmod(n, len(period))
+            assert (count_returns(spec, x0, n, edges, [])
+                    == _bins_by_bisect(period * whole + period[:part],
+                                       edges)), (signs, x0, n)
 
 
 def _seed2_flip_spec():
