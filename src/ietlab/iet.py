@@ -22,12 +22,15 @@ time.  A tower's pieces tile [0, 1); the stretches outside its window and
 the float slivers are dead pieces, and every step that no live piece takes
 is one step of `_record`.  The oriented starts of one census ride the
 towers they share.  A float return rounds once, so a census equals the
-orbit's counts in exact mode and on edges away from orbit points.  An IET
-is a bijection of [0, 1), so its first-return map on a window is injective
-and a cycle of returns has no tail: it comes back to its own first point,
-where a census run closes it.  Float rounding can make the return map
-non-injective; a cycle entered after a tail is then stepped return by
-return, which costs time but never changes a count.
+orbit's counts in exact mode and on edges away from orbit points.  A
+census run keeps a mark, a point it stood on, and the lap it walked since:
+back on the mark, it repeats the lap as often as it fits.  An IET is a
+bijection of [0, 1), so an exact periodic orbit comes back to the mark
+itself.  A float one drifts an ulp or two a lap, so a return that lands
+within `_SLIVER` of the mark, in the mark's piece, closes the lap too, if
+the drift of all the laps left stays inside the pieces the lap takes;
+otherwise the run steps on.  A repeated lap takes the pieces that the
+run, stepping on return by return, would take.
 Float mode rounds each image once, in that one addition or subtraction,
 and then clamps it into [lo, hi): an image that rounded onto hi or past it
 becomes nextafter(hi, 0), one that rounded below lo becomes lo.  So every
@@ -279,19 +282,23 @@ def count_returns(spec: IETSpec, x0, n_steps: int, edges,
     floors outside J until one lies in J: on it the return time r, the bin
     of every floor and the map y -> sign*y + tau onto the return floor are
     constant.  A point strictly inside a live piece takes the whole return
-    at once.  The mark is where the run's first return lands, or the
-    first after a pointwise step or a closed cycle; a later return that
-    lands on it closes a cycle, whose returns repeat as often as they fit.
-    The map is a bijection, so the return map is injective and a cycle of
-    returns has no tail: it comes back to its first point, the mark.
-    Where float rounding breaks that, the run steps through the cycle
-    return by return, at a cost in time, never in counts.  Every other
-    step is one step of `_record`: before the run has a tower, on a
-    piece's base end, on a dead piece (outside J, or a float sliver), on
-    the last partial return (r > the steps left), and on an unbuilt piece
-    once n_steps floors are built.  The tower is built where the walk lands
-    (`_grow`), so thin pieces with long returns that no point meets cost
-    nothing.
+    at once.  Every other step is one step of `_record`: before the run
+    has a tower, on a piece's base end, on a dead piece (outside J, or a
+    float sliver), on the last partial return (r > the steps left), and on
+    an unbuilt piece once n_steps floors are built.  The tower is built
+    where the walk lands (`_grow`), so thin pieces with long returns that
+    no point meets cost nothing.
+
+    The mark is the first point the run meets on its tower, and again the
+    first after a closed cycle or a grown piece; its lap is the pieces
+    whose returns the run took since, and the bins of its pointwise steps.
+    A return or step in the mark's piece closes a cycle on the mark
+    itself, and a float return within `_SLIVER` of it when `_laps` finds
+    that the laps left cannot drift out of the lap's pieces; the lap
+    repeats as often as it fits.  The map is a bijection, so an exact
+    periodic orbit comes back to the mark.  A drift too wide for the laps
+    left moves the mark to the return, and the run tests again once half
+    its steps are left, as fewer laps need less room.
 
     A float return is one rounding, not r, clamped into the return floor as
     `_record` clamps a step: exact counts are the orbit's, and float counts
@@ -310,20 +317,40 @@ def count_returns(spec: IETSpec, x0, n_steps: int, edges,
     float_mode = spec.mode == "float"
     # over a spec with flips a run neither rides nor extends towers: almost
     # every IET with flips has periodic components (Nogueira, Ergodic
-    # Theory Dynam. Systems 9, 1989), where a float orbit riding another
-    # run's tower can drift an ulp a return and never meet a point twice,
-    # which the cycle search below cannot catch
+    # Theory Dynam. Systems 9, 1989), and a start on one would walk its
+    # `_APPROACH` steps towards windows that its component never meets
     towers = towers if spec.oriented else []
     counts = [0] * (len(edges) - 1)
     br, nxt, left, budget = bisect_right, math.nextafter, n_steps, n_steps
     # until the run has a tower, one dead piece tiles [0, 1)
     tower, bases, pieces = None, [spec.beta[0]], [[0, 0, 1, 0, [], -1, 0]]
-    # the mark, and the pieces whose returns were taken since it
-    mark, path = None, []
+    # the mark, its piece, and since the mark the pieces whose returns the
+    # run took and the bins of its pointwise steps; a return that drifted
+    # from the mark is tested once at most `retry` steps are left
+    mark = home = None
+    path, retry = [], n_steps
     while left:
         i = br(bases, x) - 1
         piece = pieces[i]
         lo, hi, sign, tau, _, r, _ = piece
+        if piece is home and (x == mark or float_mode
+                              and abs(x - mark) <= _SLIVER):
+            if x == mark or left <= retry:
+                laps = _laps(mark, x, path, left, bases)
+                if laps:               # back at the mark: repeat the cycle
+                    for p in path:
+                        if p.__class__ is list:
+                            p[6] += laps
+                            left -= laps * p[5]
+                        else:
+                            counts[p] += laps
+                            left -= laps
+                    home = None
+                    continue
+                retry = left // 2
+            mark, path = x, []
+        elif home is None and tower is not None:
+            mark, home, path = x, piece, []
         if x == bases[i] or r < 0 or r > left or not r and budget < 0:
             if tower is None:
                 tower = next((t for t in towers if t.j0 <= x < t.j1), None)
@@ -334,23 +361,16 @@ def count_returns(spec: IETSpec, x0, n_steps: int, edges,
                 if tower is not None:
                     bases, pieces = tower.bases, tower.pieces
                     continue
-            mark, path = None, []
-            counts[br(inner, x)] += 1
+            b = br(inner, x)
+            counts[b] += 1
+            path.append(b)
             x = _record(spec, x, 1)[0][1]
             left -= 1
             continue
-        if not r:
+        if not r:                      # _grow replaces the piece
+            home = None
             budget -= _grow(spec, tower, i, inner, budget)
             continue
-        if x == mark:                  # back at the mark: repeat the cycle
-            laps = left // sum(p[5] for p in path)
-            for p in path:
-                p[6] += laps
-                left -= laps * p[5]
-            mark, path = None, []
-            continue
-        if mark is None and path:
-            mark, path = x, []
         path.append(piece)
         piece[6] += 1
         left -= r
@@ -366,6 +386,39 @@ def count_returns(spec: IETSpec, x0, n_steps: int, edges,
                 counts[b] += piece[6]
             piece[6] = 0
     return counts
+
+
+def _laps(mark, x, path, left, bases) -> int:
+    """Laps of `path`, taken from the mark to a return landing at x in the
+    mark's piece, that a run with `left` steps to go repeats at once.
+
+    On the mark itself the walk repeats, so as many laps as fit.  A float
+    return within `_SLIVER` of the mark repeats them only when `path` holds
+    returns alone and the laps left cannot drift out of their pieces.
+    Replayed from the mark, every point of the lap lies at least `room`
+    inside its piece's base.  Two points a apart in one piece return at
+    most a + 2^-52 apart, each rounding by half an ulp below 1, so with
+    drift = |x - mark| + len(path)*2^-52 the k-th point of lap j (x starts
+    lap 1) lies within j*drift + k*2^-52 of the k-th replayed one.  The
+    walk takes `laps` more laps and a part lap, j <= laps + 1, so while
+    (laps + 2)*drift < room they all take the lap's pieces, as the repeat
+    does; the part lap's last return, if r exceeds the steps left, steps
+    pointwise from two points that far inside one piece.
+    """
+    period = sum(p[5] if p.__class__ is list else 1 for p in path)
+    laps = left // period
+    if x == mark or not laps:
+        return laps
+    y, room = mark, 1.0
+    for p in path:
+        if p.__class__ is not list:    # a pointwise step
+            return 0
+        i = bisect_right(bases, y) - 1
+        room = min(room, y - bases[i], bases[i + 1] - y)
+        a, b, sign, tau = p[:4]
+        y = min(max(sign * y + tau, a), math.nextafter(b, 0.0))
+    drift = abs(x - mark) + len(path) * math.ulp(1.0)
+    return laps if (laps + 2) * drift < room else 0
 
 
 class _Tower(NamedTuple):

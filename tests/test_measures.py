@@ -403,6 +403,123 @@ def test_count_returns_repeats_exact_cycles_over_many_laps(signs):
                                        edges)), (signs, x0, n)
 
 
+def test_count_returns_rides_a_cycle_through_a_piece_end(monkeypatch):
+    # the orbit of the cut 42/97 meets the window around it at 42/97 alone,
+    # a piece end, so every step is a pointwise one; the run keeps their
+    # bins on its path and repeats the cycle when it is back at its mark
+    spec = validate((Fraction(13, 97), Fraction(29, 97), Fraction(17, 97),
+                     Fraction(38, 97)), (3, 1, 4, 2))
+    x0, edges, n = Fraction(42, 97), _bin_edges(spec, 16), 10 ** 5
+    period = [x0]
+    while (x := evaluate(spec, period[-1])) != x0:
+        period.append(x)
+    record, calls = iet._record, []
+
+    def record_spy(*args):
+        calls.append(args)
+        return record(*args)
+
+    monkeypatch.setattr(iet, "_record", record_spy)
+    counts = count_returns(spec, x0, n, edges, [])
+    assert len(calls) < 2 * len(period)       # a lap and the part lap
+    monkeypatch.undo()
+    assert counts == _bins_by_bisect(orbit(spec, x0, n - 1).points, edges)
+
+
+def _walk_returns(spec, x0, n_steps, edges):
+    """A float run through its own tower, one return at a time: the
+    census's counts with no cycle repeated."""
+    inner = edges[1:-1]
+    tower = iet._window_tower(spec, x0, inner)
+    bases, pieces = tower.bases, tower.pieces
+    counts, x, left, budget = [0] * (len(edges) - 1), x0, n_steps, n_steps
+    while left:
+        i = bisect_right(bases, x) - 1
+        a, b, sign, tau, bins, r, _ = pieces[i]
+        if x == bases[i] or r < 0 or r > left or not r and budget < 0:
+            counts[bisect_right(inner, x)] += 1
+            x = iet._record(spec, x, 1)[0][1]
+            left -= 1
+        elif not r:
+            budget -= iet._grow(spec, tower, i, inner, budget)
+        else:
+            for k in bins:
+                counts[k] += 1
+            left -= r
+            x = min(max(sign * x + tau, a), math.nextafter(b, 0.0))
+    return counts
+
+
+def _laps_spy(monkeypatch):
+    """Spy on the cycle test: for each call, whether the return landed on
+    the mark itself, and the laps repeated."""
+    laps, calls = iet._laps, []
+
+    def spy(mark, x, path, left, bases):
+        calls.append((x == mark, laps(mark, x, path, left, bases)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(iet, "_laps", spy)
+    return calls
+
+
+# task 3 of the bench census at seeds 1 and 9: a float 4-IET with flips,
+# and its 16 starts
+_DRIFTING_CENSUSES = [
+    ((0.2670030678660875, 0.22422152056965483, 0.272702054410784,
+      0.23607335715347366), (2, 3, 4, 1), (-1, -1, -1, 1),
+     (0.5994417932679402, 0.5622098627854866, 0.27144521985868464,
+      0.9641663858749591, 0.291536951555589, 0.05530729722162164,
+      0.3333223309624427, 0.3712306436202636, 0.824534719404181,
+      0.7524277595440327, 0.23848173732280376, 0.600897725940593,
+      0.9100667281353085, 0.2107782884502255, 0.7084485749169808,
+      0.1712167780447008)),
+    ((0.22836057996516052, 0.35387891573760416, 0.30011780380258674,
+      0.11764270049464853), (4, 3, 1, 2), (-1, -1, 1, -1),
+     (0.027450380031595834, 0.19414121116053107, 0.11417154499384352,
+      0.6009336715074765, 0.7105492656960664, 0.43676158296407186,
+      0.8118001997324251, 0.8072466062951064, 0.5346779518200616,
+      0.8589958828767206, 0.5307508161900196, 0.8101232168986088,
+      0.7518583810563806, 0.36788309471741787, 0.14299407901395977,
+      0.7971011101094058))]
+
+
+def test_drifting_flip_cycles_count_as_the_return_by_return_walk(
+        monkeypatch):
+    # almost every IET with flips has periodic components; along one a
+    # float return comes back an ulp or two from the mark
+    verdicts = _laps_spy(monkeypatch)
+    runs = _census_runs(monkeypatch)
+    for lengths, pi, signs, starts in _DRIFTING_CENSUSES:
+        spec = validate(lengths, pi, signs, mode="float")
+        edges = _bin_edges(spec, DEFAULT_BINS)
+        runs.clear()
+        estimate_ergodic_count(spec, starts, 10 ** 5, cluster_tol=0.1)
+        assert len(runs) == 16
+        for x0, counts, _ in runs:
+            assert counts == _walk_returns(spec, x0, 10 ** 5, edges), (
+                spec, x0)
+    assert any(not on_mark and laps for on_mark, laps in verdicts)
+
+
+def test_a_drift_too_wide_for_the_laps_left_steps_on(monkeypatch):
+    # a bin edge eps past a point of the orbit puts a piece end next to the
+    # cycle; drawn from seeds 0, 1, ..., seed 11 is the first whose run
+    # refuses a drifting return and whose counts change when one lap's
+    # drift, not laps + 2 laps', is held against the room
+    rng = random.Random("margin:11")
+    spec = _random_float_4iet(rng, True)
+    x0 = rng.random()
+    pts = orbit(spec, x0, 2000).points
+    y, eps = pts[rng.randrange(1000, 2000)], 10 ** rng.uniform(-15, -11)
+    edges = sorted(set(_bin_edges(spec, 64)) | {y + eps})
+    verdicts = _laps_spy(monkeypatch)
+    assert (count_returns(spec, x0, 10 ** 5, edges, [])
+            == _walk_returns(spec, x0, 10 ** 5, edges))
+    assert (False, 0) in verdicts              # refused, then stepped on
+    assert any(not on_mark and laps for on_mark, laps in verdicts)
+
+
 def _seed2_flip_spec():
     # a float 4-IET with flips whose tower over [0.0665, 0.0865), built
     # without dropping slivers, passes 10^6 floors
