@@ -147,6 +147,7 @@ def _verdict_to_dict(v):
             cert["witness"] = _witness_to_dict(c.witness)
         if c.pf is not None:
             cert["pf"] = _pf_to_dict(c.pf)
+        # read from the columns the verdict built on v.sequence
         cert["diameters"] = [float(d)
                              for d in dg.simplex_diameters(v.sequence)]
         out["certificate"] = cert

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -213,31 +213,44 @@ class StateSpaceApprox(NamedTuple):
     numeric_rank: int
 
 
-def _running_products(seq: MatrixSequence, k: int):
-    """Yield V_j = M_1^T ... M_j^T for j = 0..k; the columns of V_j span
-    the j-th simplex."""
+# the running products of the last sequence asked for, held with it so
+# that it is matched by identity: (seq, (V_0, ..., V_j)), each V_j as the
+# tuple of its columns.  A longer path is a new tuple, bound in one step.
+_PATH: tuple = (None, ())
+
+
+def _path(seq: MatrixSequence, k: int) -> tuple:
+    """The columns of V_j = M_1^T ... M_j^T for j = 0..k at least; the
+    columns of V_j span the j-th simplex.  Built once per sequence, one
+    `intmat.mul_transpose_columns` step per matrix, and extended only as
+    far as k: a matrix past k is never read."""
+    global _PATH
     if k < 0:
         raise DomainError("simplex depth must be nonnegative")
     if k > len(seq.matrices):
         raise SequenceTooShort(f"need {k} matrices, have {len(seq.matrices)}")
     if not seq.matrices:
         raise SequenceTooShort("empty sequence")
-    v = intmat.identity(len(seq.matrices[0]))
-    yield v
-    for m in seq.matrices[:k]:
+    held, path = _PATH
+    if held is not seq:
+        path = (intmat.identity(len(seq.matrices[0])),)
+    cols, new = path[-1], []
+    for m in seq.matrices[len(path) - 1:k]:
         intmat.check_no_zero_line(m)
-        v = intmat.mat_mul(v, intmat.transpose(m))
-        yield v
+        cols = intmat.mul_transpose_columns(cols, m)
+        new.append(cols)
+    if held is not seq or new:
+        path += tuple(new)
+        _PATH = seq, path
+    return path
 
 
 def _simplex(seq: MatrixSequence, k: int):
-    *_, v = _running_products(seq, k)
-    return _columns(v)
+    return _with_sums(_path(seq, k)[k])
 
 
-def _columns(v: IntMatrix) -> tuple[list[tuple[int, ...]], list[int]]:
+def _with_sums(cols) -> tuple[tuple, list[int]]:
     """Columns of V and their sums: vertex j is column j over its sum."""
-    cols = list(zip(*v))
     return cols, [sum(c) for c in cols]
 
 
@@ -306,10 +319,11 @@ def state_simplex(seq: MatrixSequence, k: int,
 
 def simplex_diameters(seq: MatrixSequence) -> list[Fraction]:
     """Exact diameters of the simplices after the first k matrices, for
-    k = 1..len(seq.matrices), from one pass of running products: entry k-1
-    equals state_simplex(seq, k).diameter."""
-    products = _running_products(seq, len(seq.matrices))
-    return [_diameter(*_columns(v)) for v in islice(products, 1, None)]
+    k = 1..len(seq.matrices): entry k-1 equals state_simplex(seq, k).diameter.
+    The columns come from the path of the last sequence asked for, so after
+    a verdict on seq they are read, not built again."""
+    path = _path(seq, len(seq.matrices))
+    return [_diameter(*_with_sums(cols)) for cols in path[1:]]
 
 
 def estimate_state_dim(seq: MatrixSequence, k_max: int) -> int:

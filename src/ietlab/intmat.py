@@ -7,6 +7,7 @@ Matrices are tuples of row tuples of Python ints; sizes here are tiny
 from __future__ import annotations
 
 import functools
+from operator import add, mul
 from typing import Sequence
 
 from .errors import ZeroLine
@@ -43,6 +44,22 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
                  for row in a)
+
+
+def mul_transpose_columns(cols: Sequence[tuple[int, ...]],
+                          m: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """The columns of V M^T from the columns of V: column c is the sum over
+    r of M[c][r] times column r, so that zip(*mat_mul(V, transpose(M))) is
+    the same.  A registered I + E_ij adds column j to column i and builds
+    that one new column; any other M is summed densely."""
+    if len(cols) != len(m[0]):
+        raise ValueError("dimension mismatch")
+    e = _ELEMENTARY.get(id(m))
+    if e is not None:
+        _, i, j = e
+        return (*cols[:i], tuple(map(add, cols[i], cols[j])), *cols[i + 1:])
+    rows = tuple(zip(*cols))
+    return tuple(tuple(sum(map(mul, mrow, row)) for row in rows) for mrow in m)
 
 
 def mat_vec(a: IntMatrix, v: Sequence) -> tuple:

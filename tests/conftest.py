@@ -1,6 +1,23 @@
 import re
 
+import pytest
+
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")
+
+
+@pytest.fixture
+def column_steps(monkeypatch):
+    """The matrices passed to intmat.mul_transpose_columns while a test runs,
+    one entry per column step."""
+    from ietlab import intmat
+    calls = []
+    step = intmat.mul_transpose_columns
+
+    def counted(cols, m):
+        calls.append(m)
+        return step(cols, m)
+    monkeypatch.setattr(intmat, "mul_transpose_columns", counted)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -99,6 +99,24 @@ def test_simplex(golden_path, tmp_path):
     assert 0 < doc["result"]["diameter_float"] < 1
 
 
+def test_simplex_of_mixed_sizes_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "mixed.json"
+    path.write_text("[[[1,1],[0,1]], [[1,1,0],[0,1,0],[0,0,1]]]")
+    assert main(["simplex", "--matrices", str(path),
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert _one_line_error(capsys) == "usage error: dimension mismatch\n"
+
+
+def test_ergodic_builds_each_simplex_once(golden_path, tmp_path,
+                                          column_steps):
+    """The certificate's diameters read the columns the verdict built: one
+    column step per Rauzy step, not two."""
+    doc, _ = run_json(["ergodic", "--spec", golden_path, "--depth", "200"],
+                      tmp_path)
+    assert len(doc["result"]["certificate"]["diameters"]) == 200
+    assert len(column_steps) == 200
+
+
 def test_pf(tmp_path):
     doc, _ = run_json(["pf", "--matrix", "[[2,1],[1,1]]"], tmp_path)
     assert abs(doc["result"]["eigenvalue"] - (3 + math.sqrt(5)) / 2) < 1e-9

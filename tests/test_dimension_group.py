@@ -14,8 +14,8 @@ from ietlab.dimension_group import (collatz_wielandt, cyclic_structure,
                                     state_simplex,
                                     strict_ergodicity_verdict)
 from ietlab.iet import is_irreducible, validate
-from ietlab.induction import MatrixSequence, induce
-from ietlab.intmat import identity, mat_mul, mat_vec, transpose
+from ietlab.induction import MatrixSequence, induce, telescope
+from ietlab.intmat import elementary, identity, mat_mul, mat_vec
 from ietlab.numbers import golden_alpha, quad
 
 FIB2 = ((1, 1), (1, 2))   # golden block product, eigenvalue (3+sqrt(5))/2
@@ -323,9 +323,11 @@ def _induced_sequences(depth):
 
 
 def _product(seq, k):
+    """Reference: V_k = M_1^T ... M_k^T, every product dense, as each
+    transpose is a plain copy that intmat does not know as I + E_ij."""
     v = identity(len(seq.matrices[0]))
     for m in seq.matrices[:k]:
-        v = mat_mul(v, transpose(m))
+        v = mat_mul(v, tuple(zip(*m)))
     return v
 
 
@@ -393,6 +395,61 @@ def test_estimate_state_dim_block_diagonal():
 def test_estimate_state_dim_depth_zero():
     # the zeroth simplex is the full standard simplex
     assert estimate_state_dim(const_seq(FIB2, 5), 0) == 2
+
+
+def _reference_dim(cols):
+    diam = _l1_diameter(cols)
+    return 1 if diam < dimension_group.RANK_TOL else _numpy_rank(cols, 1e-8)
+
+
+def test_simplex_path_never_returns_a_stale_result():
+    """Three sequences asked for in every order and at depths that grow and
+    shrink: each answer equals its dense reference."""
+    a = golden_alpha()
+    golden = induce(validate((1 - a, a), (2, 1)), 40)
+    rng = random.Random("stale:4")
+    while True:
+        try:
+            quadratic = induce(_random_iet(rng, 4, exact=True), 30)
+            break
+        except (errors.KeaneViolation, errors.Reducible):
+            pass
+    dense = telescope(quadratic, [2, 5, 9, 14, 20])
+    seqs = [golden, quadratic, dense]
+    depths = [(1, 17, 40, 3), (2, 30, 11, 1), (0, 4, 6, 3)]
+    want = [[_normalized_columns(_product(seq, k))
+             for k in range(len(seq) + 1)] for seq in seqs]
+    diams = [[_l1_diameter(cols) for cols in w[1:]] for w in want]
+    for order in itertools.permutations(range(3)):
+        for c in order:
+            for k in depths[c]:
+                approx = state_simplex(seqs[c], k)
+                assert list(approx.columns) == want[c][k]
+                assert approx.diameter == _l1_diameter(want[c][k])
+    # each reader called on every sequence after every other one
+    for a, b, c in itertools.product(range(3), repeat=3):
+        k = depths[a][0]
+        assert list(state_simplex(seqs[a], k).columns) == want[a][k]
+        assert simplex_diameters(seqs[b]) == diams[b]
+        k = depths[c][2]
+        assert estimate_state_dim(seqs[c], k) == _reference_dim(want[c][k])
+
+
+def test_simplex_path_takes_one_step_per_matrix(column_steps):
+    a = golden_alpha()
+    seq = induce(validate((1 - a, a), (2, 1)), 40)
+    for k in range(1, 41, 3):     # 287 steps if each depth started over
+        state_simplex(seq, k)
+    assert len(column_steps) == 40
+    simplex_diameters(seq)
+    estimate_state_dim(seq, 40)
+    state_simplex(seq, 7)
+    assert len(column_steps) == 40
+    # the verdict's sequence is new: one path of 40 steps, which its
+    # diameters read again
+    verdict = strict_ergodicity_verdict(validate((1 - a, a), (2, 1)))
+    simplex_diameters(verdict.sequence)
+    assert len(column_steps) == 80
 
 
 def test_verdict_golden_strictly_ergodic():
@@ -488,6 +545,69 @@ def test_dimension_group_refusals(call, error, message):
     with pytest.raises(error) as exc_info:
         call()
     assert str(exc_info.value) == message
+
+
+MIXED = MatrixSequence((FIB2, identity(3)), ("x", "x"))
+MIXED_ELEMENTARY = MatrixSequence((elementary(3, 0, 2), elementary(2, 1, 0)),
+                                  ("x", "x"))
+ZERO_ROW = ((1, 1), (0, 0))
+ZERO_COLUMN = ((1, 0), (1, 0))
+MISMATCH = "dimension mismatch"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # the 3x3 after a 2x2 once divided by zero in state_simplex and made a
+    # wrong list in simplex_diameters
+    (lambda: state_simplex(MIXED, 2), ValueError, MISMATCH),
+    (lambda: simplex_diameters(MIXED), ValueError, MISMATCH),
+    (lambda: estimate_state_dim(MIXED, 2), ValueError, MISMATCH),
+    (lambda: state_simplex(MIXED_ELEMENTARY, 2), ValueError, MISMATCH),
+    (lambda: simplex_diameters(MIXED_ELEMENTARY), ValueError, MISMATCH),
+    (lambda: state_simplex(const_seq(ZERO_ROW, 3), 2), errors.ZeroLine,
+     "row 1 is zero"),
+    (lambda: simplex_diameters(const_seq(ZERO_COLUMN, 3)), errors.ZeroLine,
+     "column 1 is zero"),
+    (lambda: estimate_state_dim(const_seq(SIGNED, 3), 1), ValueError,
+     NEGATIVE),
+    (lambda: state_simplex(const_seq(FIB2, 3), 4), errors.SequenceTooShort,
+     "need 4 matrices, have 3"),
+    (lambda: simplex_diameters(MatrixSequence((), ())),
+     errors.SequenceTooShort, "empty sequence"),
+    (lambda: state_simplex(const_seq(FIB2, 3), -2), errors.DomainError,
+     "simplex depth must be nonnegative"),
+], ids=["simplex-mixed", "diameters-mixed", "state-dim-mixed",
+        "simplex-mixed-elementary", "diameters-mixed-elementary",
+        "simplex-zero-row", "diameters-zero-column", "state-dim-signed",
+        "simplex-too-short", "diameters-empty", "simplex-negative-depth"])
+def test_simplex_path_refusals_hold_on_retry(call, error, message):
+    for _ in range(3):
+        with pytest.raises(error) as exc_info:
+            call()
+        assert str(exc_info.value) == message
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (SIGNED, ValueError, NEGATIVE),
+    (ZERO_ROW, errors.ZeroLine, "row 1 is zero"),
+    (identity(3), ValueError, MISMATCH),
+], ids=["signed", "zero-row", "mismatch"])
+def test_state_simplex_reads_no_matrix_past_k(bad, error, message):
+    good = (elementary(2, 0, 1), elementary(2, 1, 0), FIB2)
+    seq = MatrixSequence(good + (bad,) + good, ("x",) * 7)
+    prefix = MatrixSequence(good, ("x",) * 3)
+    for _ in range(2):
+        for k in (3, 0, 2, 1):
+            assert state_simplex(seq, k) == state_simplex(prefix, k)
+            assert list(state_simplex(seq, k).columns) == (
+                _normalized_columns(_product(prefix, k)))
+        assert estimate_state_dim(seq, 3) == estimate_state_dim(prefix, 3)
+        for call in (lambda: state_simplex(seq, 4),
+                     lambda: state_simplex(seq, 7),
+                     lambda: simplex_diameters(seq),
+                     lambda: estimate_state_dim(seq, 9)):
+            with pytest.raises(error) as exc_info:
+                call()
+            assert str(exc_info.value) == message
 
 
 def test_verdict_takes_its_tolerance_by_keyword_only():

@@ -53,6 +53,31 @@ def test_non_elementary_right_factor_matches_dense(rows, inner, cols, data):
     assert intmat.mat_mul(a, b) == dense(a, b)
 
 
+@settings(max_examples=200)
+@given(st.integers(2, 5), st.data())
+def test_column_step_matches_dense_product(n, data):
+    """The columns of V M^T: for I + E_ij, its copy, its transpose and a
+    dense M (square or not), equal to the columns of mat_mul(V, M^T) and of
+    the reference product."""
+    def matrix(rows, cols, hi):
+        return tuple(tuple(data.draw(st.lists(st.integers(0, hi), min_size=cols,
+                                              max_size=cols)))
+                     for _ in range(rows))
+    v = matrix(data.draw(st.integers(1, 6)), n, 2 ** 70)
+    cols = tuple(zip(*v))
+    i, j = data.draw(st.sampled_from(pairs(n)))
+    e = intmat.elementary(n, i, j)
+    wide = matrix(data.draw(st.integers(1, 5)), n, 9)
+    for m in (e, tuple(tuple(r) for r in e), intmat.transpose(e),
+              matrix(n, n, 9), wide):
+        want = tuple(zip(*intmat.mat_mul(v, intmat.transpose(m))))
+        assert want == tuple(zip(*dense(v, tuple(zip(*m)))))
+        assert intmat.mul_transpose_columns(cols, m) == want
+    # a registered I + E_ij builds column i alone
+    out = intmat.mul_transpose_columns(cols, e)
+    assert all(out[c] is cols[c] for c in range(n) if c != i)
+
+
 def test_sequence_functions_agree_with_dense_products():
     """Each result is the same whether its factors are the registered
     elementary matrices (one column add per product) or equal copies of them
@@ -80,12 +105,19 @@ def test_sequence_functions_agree_with_dense_products():
 @pytest.mark.parametrize("call, message", [
     (lambda: intmat.mat_mul(((1, 2),), ((1, 2),)), "dimension mismatch"),
     (lambda: intmat.mat_vec(((1, 2),), (1,)), "dimension mismatch"),
+    (lambda: intmat.mul_transpose_columns(((1, 0), (0, 1)),
+                                          intmat.elementary(3, 0, 1)),
+     "dimension mismatch"),
+    (lambda: intmat.mul_transpose_columns(((1, 0), (0, 1), (1, 1)),
+                                          ((1, 1), (0, 1))),
+     "dimension mismatch"),
     (lambda: intmat.product([]), "empty product"),
     (lambda: intmat.check_nonnegative(((1, 0), (0, -1))),
      "negative entry in nonnegative matrix"),
     (lambda: intmat.check_no_zero_line(((1, 0), (0, -1))),
      "negative entry in nonnegative matrix"),
-], ids=["mat-mul", "mat-vec", "empty-product", "negative", "negative-line"])
+], ids=["mat-mul", "mat-vec", "step-elementary", "step-dense",
+        "empty-product", "negative", "negative-line"])
 def test_intmat_refusals(call, message):
     with pytest.raises(ValueError) as exc_info:
         call()
