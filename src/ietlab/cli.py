@@ -190,7 +190,7 @@ def _run_rotation(args):
     rn = rotation.rotation_number(seq.matrices, args.depth)
     result = {
         "convergents": [serialize.scalar_to_json(c) for c in rn.convergents],
-        "value": rn.value,
+        "value": rn.value if rn.convergents else None,   # NaN is not JSON
         "converged": rn.converged,
         "depth": rn.depth,
     }

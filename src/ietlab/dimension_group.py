@@ -221,9 +221,10 @@ _PATH: tuple = (None, ())
 
 def _path(seq: MatrixSequence, k: int) -> tuple:
     """The columns of V_j = M_1^T ... M_j^T for j = 0..k at least; the
-    columns of V_j span the j-th simplex.  Built once per sequence, one
-    `intmat.mul_transpose_columns` step per matrix, and extended only as
-    far as k: a matrix past k is never read."""
+    columns of V_j span the j-th simplex.  They are the rows of
+    V_j^T = M_j V_{j-1}^T, so each is one `intmat.mat_mul(m, cols)`: a row
+    add for M = I + E_ij.  Built once per sequence and extended only as far
+    as k: a matrix past k is never read."""
     global _PATH
     if k < 0:
         raise DomainError("simplex depth must be nonnegative")
@@ -237,7 +238,7 @@ def _path(seq: MatrixSequence, k: int) -> tuple:
     cols, new = path[-1], []
     for m in seq.matrices[len(path) - 1:k]:
         intmat.check_no_zero_line(m)
-        cols = intmat.mul_transpose_columns(cols, m)
+        cols = intmat.mat_mul(m, cols)
         new.append(cols)
     if held is not seq or new:
         path += tuple(new)

@@ -1,7 +1,8 @@
 """Small exact integer matrix helpers (arbitrary precision, tuple-based).
 
 Matrices are tuples of row tuples of Python ints; sizes here are tiny
-(n <= a few dozen), so exactness beats vectorization.
+(n <= a few dozen), so exactness beats vectorization.  `mat_mul` is the one
+product: a registered I + E_ij on either side costs one row or column add.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ _ELEMENTARY: dict[int, tuple[IntMatrix, int, int]] = {}
 @functools.lru_cache(maxsize=None)
 def elementary(n: int, i: int, j: int) -> IntMatrix:
     """Identity plus a single 1 at (i, j), 0-based, i != j.  One matrix per
-    (n, i, j), so that `mat_mul` and `transpose` know it by identity."""
+    (n, i, j), so that `mat_mul` knows it by identity."""
     m = tuple(tuple((1 if r == c else 0) + (1 if (r, c) == (i, j) else 0)
                     for c in range(n)) for r in range(n))
     _ELEMENTARY[id(m)] = (m, i, j)
@@ -37,42 +38,22 @@ def elementary(n: int, i: int, j: int) -> IntMatrix:
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
+    e = _ELEMENTARY.get(id(a))
+    if e is not None:   # (I + E_ij) * b: add row j of b to row i
+        _, i, j = e
+        return (*b[:i], tuple(map(add, b[i], b[j])), *b[i + 1:])
     e = _ELEMENTARY.get(id(b))
     if e is not None:   # a * (I + E_ij): add column i of a to column j
         _, i, j = e
         return tuple([(*row[:j], row[j] + row[i], *row[j + 1:]) for row in a])
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)
-
-
-def mul_transpose_columns(cols: Sequence[tuple[int, ...]],
-                          m: IntMatrix) -> tuple[tuple[int, ...], ...]:
-    """The columns of V M^T from the columns of V: column c is the sum over
-    r of M[c][r] times column r, so that zip(*mat_mul(V, transpose(M))) is
-    the same.  A registered I + E_ij adds column j to column i and builds
-    that one new column; any other M is summed densely."""
-    if len(cols) != len(m[0]):
-        raise ValueError("dimension mismatch")
-    e = _ELEMENTARY.get(id(m))
-    if e is not None:
-        _, i, j = e
-        return (*cols[:i], tuple(map(add, cols[i], cols[j])), *cols[i + 1:])
-    rows = tuple(zip(*cols))
-    return tuple(tuple(sum(map(mul, mrow, row)) for row in rows) for mrow in m)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: IntMatrix, v: Sequence) -> tuple:
     if len(a[0]) != len(v):
         raise ValueError("dimension mismatch")
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def transpose(a: IntMatrix) -> IntMatrix:
-    e = _ELEMENTARY.get(id(a))
-    if e is not None:
-        return elementary(len(a), e[2], e[1])
-    return tuple(zip(*a))
 
 
 def product(ms: Sequence[IntMatrix]) -> IntMatrix:

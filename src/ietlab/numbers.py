@@ -244,13 +244,13 @@ def is_exact(x) -> bool:
 
 
 def as_int(v) -> int:
-    """v as an int, never truncated: 2.5, inf or a list raises ValueError,
-    as does a string that is not an integer literal."""
+    """v as an int, never truncated: 2.5, inf, a bool or a list raises
+    ValueError, as does a string that is not an integer literal."""
     try:
         n = int(v)
     except (OverflowError, TypeError):
         n = None
-    if n is None or not isinstance(v, str) and n != v:
+    if n is None or isinstance(v, bool) or not isinstance(v, str) and n != v:
         raise ValueError(f"{v!r} is not an integer")
     return n
 

@@ -29,13 +29,13 @@ def scalar_to_json(x) -> Union[str, float, dict]:
 
 def scalar_from_json(v):
     """A "p/q" string, a number, or {"a", "b", "d"} for a + b*sqrt(d); any
-    other form raises ValueError."""
+    other form, true and false among them, raises ValueError."""
     try:
         if isinstance(v, str):
             return Fraction(v)
-        if isinstance(v, dict):
+        if isinstance(v, dict) and bool not in (type(v["a"]), type(v["b"])):
             return quad(Fraction(v["a"]), Fraction(v["b"]), as_int(v["d"]))
-        if isinstance(v, (int, float)):
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
             return float(v)
     except (KeyError, TypeError, ZeroDivisionError, OverflowError):
         pass

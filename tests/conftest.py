@@ -7,16 +7,18 @@ _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")
 
 @pytest.fixture
 def column_steps(monkeypatch):
-    """The matrices passed to intmat.mul_transpose_columns while a test runs,
-    one entry per column step."""
+    """The matrices M of the simplex column steps while a test runs, one
+    entry per step: the calls intmat.mat_mul(M, cols) whose left factor is a
+    registered I + E_ij and whose right factor is not."""
     from ietlab import intmat
     calls = []
-    step = intmat.mul_transpose_columns
+    mat_mul = intmat.mat_mul
 
-    def counted(cols, m):
-        calls.append(m)
-        return step(cols, m)
-    monkeypatch.setattr(intmat, "mul_transpose_columns", counted)
+    def counted(a, b):
+        if id(a) in intmat._ELEMENTARY and id(b) not in intmat._ELEMENTARY:
+            calls.append(a)
+        return mat_mul(a, b)
+    monkeypatch.setattr(intmat, "mat_mul", counted)
     return calls
 
 

@@ -39,11 +39,16 @@ def fib_path(tmp_path):
     return str(path)
 
 
+def _no_constant(name):
+    """NaN, Infinity and -Infinity are not JSON (RFC 8259)."""
+    raise ValueError(f"{name} in a result document")
+
+
 def run_json(argv, tmp_path, name="out.json"):
     out = str(tmp_path / name)
     code = main(argv + ["--out", out])
     assert code == 0
-    doc = json.loads(Path(out).read_text())
+    doc = json.loads(Path(out).read_text(), parse_constant=_no_constant)
     jsonschema.validate(doc, SCHEMA)
     return doc, Path(out).read_bytes()
 
@@ -144,6 +149,17 @@ def test_rotation_reads_signed_matrices(rows, surd_error, tmp_path, capsys):
     # neither block has a real quadratic fixed point: a domain error
     assert main(["rotation", "--matrices", str(path), "--surd"]) == 1
     assert surd_error in _one_line_error(capsys)
+
+
+def test_rotation_without_a_convergent_writes_null(tmp_path):
+    # d = 0: the one truncation divides by a zero tail, so there is no
+    # convergent; the library's NaN is written as null
+    path = tmp_path / "zero-tail.json"
+    path.write_text("[[[1, 1], [-1, 0]]]")
+    doc, _ = run_json(["rotation", "--depth", "1", "--matrices", str(path)],
+                      tmp_path)
+    assert doc["result"] == {"convergents": [], "value": None,
+                             "converged": False, "depth": 0}
 
 
 @pytest.mark.parametrize("subcommand", ["pf", "simplex"])
@@ -372,9 +388,19 @@ def test_exact_spec_with_foreign_lengths_is_a_domain_error(lam, message,
     ({"lambda": ["1/3", "2/3"], "pi": True}, "pi must be a JSON array"),
     ({"lambda": ["1/3", "2/3"], "pi": [2, 1], "epsilon": 5},
      "epsilon must be a JSON array"),
+    ({"lambda": ["1/3", "2/3"], "pi": [2, True], "epsilon": [True, 1]},
+     "True is not an integer"),
+    ({"lambda": ["1/3", "2/3"], "pi": [2, 1], "epsilon": [1, False]},
+     "False is not an integer"),
+    ({"lambda": [True], "pi": [1]}, "malformed scalar True"),
+    ({"lambda": [{"a": True, "b": "1/2", "d": 5}, "1/2"], "pi": [2, 1]},
+     "malformed scalar"),
+    ({"lambda": [{"a": "1/2", "b": "1/2", "d": True}, "1/2"], "pi": [2, 1]},
+     "True is not an integer"),
 ], ids=["pi-non-integral", "epsilon-non-integral", "length-without-b-and-d",
         "length-without-d", "length-as-list", "lambda-scalar", "pi-scalar",
-        "pi-bool", "epsilon-scalar"])
+        "pi-bool", "epsilon-scalar", "pi-bool-entry", "epsilon-bool-entry",
+        "length-bool", "length-bool-coefficient", "length-bool-radicand"])
 def test_malformed_spec_is_a_usage_error(spec, message, tmp_path, capsys):
     # never truncated or run as some other spec
     path = tmp_path / "spec.json"
@@ -389,7 +415,8 @@ def test_malformed_spec_is_a_usage_error(spec, message, tmp_path, capsys):
     ('"[1,2]"', "a matrix must be a JSON array"),
     ("[1,2]", "a matrix row must be a JSON array"),
     ("[[]]", "ragged or empty matrix"),
-], ids=["non-integral", "scalar", "string", "flat", "empty-row"])
+    ("[[true, 1], [1, false]]", "True is not an integer"),
+], ids=["non-integral", "scalar", "string", "flat", "empty-row", "bool"])
 def test_non_integral_matrix_is_a_usage_error(matrix, message, capsys):
     assert main(["pf", "--matrix", matrix]) == 2
     assert message in _one_line_error(capsys)
@@ -404,8 +431,9 @@ def test_non_integral_matrix_is_a_usage_error(matrix, message, capsys):
     ([[1]], "a matrix row must be a JSON array"),
     ({"matrices": [[[1, 1], [0, 1]]], "tags": 5},
      "tags must be a JSON array"),
+    ([[[1, 1], [False, 1]]], "False is not an integer"),
 ], ids=["scalar", "string", "no-matrices", "matrices-scalar",
-        "matrix-scalar", "row-scalar", "tags-scalar"])
+        "matrix-scalar", "row-scalar", "tags-scalar", "entry-bool"])
 def test_malformed_matrices_file_is_a_usage_error(doc, message, tmp_path,
                                                   capsys):
     path = tmp_path / "matrices.json"

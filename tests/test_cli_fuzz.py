@@ -1,9 +1,9 @@
 """Fuzzed command lines and input files for every subcommand.
 
 Whatever the arguments, files and output path, `cli.main` returns 0, 1 or
-2 and never raises; a failure is one line on stderr; a JSON result fits the
-schema.  An --out that cannot be written (under a missing directory, or a
-directory) never exits 0.
+2 and never raises; a failure is one line on stderr; a JSON result is JSON
+(no NaN or Infinity) and fits the schema.  An --out that cannot be written
+(under a missing directory, or a directory) never exits 0.
 """
 
 import contextlib
@@ -139,6 +139,11 @@ def invocations(draw):
     return argv, files, out
 
 
+def _no_constant(name):
+    """NaN, Infinity and -Infinity are not JSON (RFC 8259)."""
+    raise ValueError(f"{name} in a result document")
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(invocations())
 def test_fuzzed_invocations_exit_cleanly(invocation):
@@ -157,5 +162,6 @@ def test_fuzzed_invocations_exit_cleanly(invocation):
             assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
             assert "Traceback" not in err.getvalue()
         elif argv[argv.index("--format") + 1] == "json":
-            jsonschema.validate(json.loads((Path(tmp) / out).read_text()),
-                                SCHEMA)
+            doc = json.loads((Path(tmp) / out).read_text(),
+                             parse_constant=_no_constant)
+            jsonschema.validate(doc, SCHEMA)

@@ -59,7 +59,7 @@ def _relabelled_reference(spec):
     n = spec.n
     relabel = tuple(tuple(int(state.top[i] == ell + 1) for i in range(n))
                     for ell in range(n))
-    return intmat.mat_mul(m_letter, relabel)
+    return intmat.mat_mul(tuple(tuple(r) for r in m_letter), relabel)
 
 
 def test_rauzy_step_length_relation():

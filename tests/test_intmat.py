@@ -35,12 +35,12 @@ def test_elementary_right_factor_matches_dense(case):
     assert e is intmat.elementary(n, i, j)
     copy = tuple(tuple(r) for r in e)
     assert copy == e and copy is not e
-    t = intmat.transpose(e)
-    assert t == tuple(zip(*e)) and t is intmat.elementary(n, j, i)
-    for b in (e, copy, t, intmat.transpose(copy)):
+    t = intmat.elementary(n, j, i)
+    assert t == tuple(zip(*e))
+    for b in (e, copy, t, tuple(zip(*copy))):
         assert intmat.mat_mul(a, b) == dense(a, b)
-    # an elementary left factor takes the dense path
-    assert intmat.mat_mul(e, a[:1] * n) == dense(e, a[:1] * n)
+    # with both factors registered, the row add gives the product
+    assert intmat.mat_mul(e, t) == dense(e, t)
 
 
 @settings(max_examples=100)
@@ -55,27 +55,23 @@ def test_non_elementary_right_factor_matches_dense(rows, inner, cols, data):
 
 @settings(max_examples=200)
 @given(st.integers(2, 5), st.data())
-def test_column_step_matches_dense_product(n, data):
-    """The columns of V M^T: for I + E_ij, its copy, its transpose and a
-    dense M (square or not), equal to the columns of mat_mul(V, M^T) and of
-    the reference product."""
+def test_elementary_left_factor_matches_dense(n, data):
+    """M times B for M = I + E_ij, its copy, elementary(n, j, i) and a dense
+    M (square or not), equal to the reference product; a registered
+    I + E_ij on the left rebuilds row i of B alone."""
     def matrix(rows, cols, hi):
         return tuple(tuple(data.draw(st.lists(st.integers(0, hi), min_size=cols,
                                               max_size=cols)))
                      for _ in range(rows))
-    v = matrix(data.draw(st.integers(1, 6)), n, 2 ** 70)
-    cols = tuple(zip(*v))
+    b = matrix(n, data.draw(st.integers(1, 6)), 2 ** 70)
     i, j = data.draw(st.sampled_from(pairs(n)))
     e = intmat.elementary(n, i, j)
     wide = matrix(data.draw(st.integers(1, 5)), n, 9)
-    for m in (e, tuple(tuple(r) for r in e), intmat.transpose(e),
+    for m in (e, tuple(tuple(r) for r in e), intmat.elementary(n, j, i),
               matrix(n, n, 9), wide):
-        want = tuple(zip(*intmat.mat_mul(v, intmat.transpose(m))))
-        assert want == tuple(zip(*dense(v, tuple(zip(*m)))))
-        assert intmat.mul_transpose_columns(cols, m) == want
-    # a registered I + E_ij builds column i alone
-    out = intmat.mul_transpose_columns(cols, e)
-    assert all(out[c] is cols[c] for c in range(n) if c != i)
+        assert intmat.mat_mul(m, b) == dense(m, b)
+    out = intmat.mat_mul(e, b)
+    assert all(out[r] is b[r] for r in range(n) if r != i)
 
 
 def test_sequence_functions_agree_with_dense_products():
@@ -105,19 +101,18 @@ def test_sequence_functions_agree_with_dense_products():
 @pytest.mark.parametrize("call, message", [
     (lambda: intmat.mat_mul(((1, 2),), ((1, 2),)), "dimension mismatch"),
     (lambda: intmat.mat_vec(((1, 2),), (1,)), "dimension mismatch"),
-    (lambda: intmat.mul_transpose_columns(((1, 0), (0, 1)),
-                                          intmat.elementary(3, 0, 1)),
+    (lambda: intmat.mat_mul(intmat.elementary(3, 0, 1), ((1, 0), (0, 1))),
      "dimension mismatch"),
-    (lambda: intmat.mul_transpose_columns(((1, 0), (0, 1), (1, 1)),
-                                          ((1, 1), (0, 1))),
+    (lambda: intmat.mat_mul(intmat.elementary(2, 0, 1),
+                            ((1, 0), (0, 1), (1, 1))),
      "dimension mismatch"),
     (lambda: intmat.product([]), "empty product"),
     (lambda: intmat.check_nonnegative(((1, 0), (0, -1))),
      "negative entry in nonnegative matrix"),
     (lambda: intmat.check_no_zero_line(((1, 0), (0, -1))),
      "negative entry in nonnegative matrix"),
-], ids=["mat-mul", "mat-vec", "step-elementary", "step-dense",
-        "empty-product", "negative", "negative-line"])
+], ids=["mat-mul", "mat-vec", "elementary-left-short",
+        "elementary-left-long", "empty-product", "negative", "negative-line"])
 def test_intmat_refusals(call, message):
     with pytest.raises(ValueError) as exc_info:
         call()
